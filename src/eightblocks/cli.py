@@ -4,8 +4,9 @@ Every subcommand prints either a human-readable report or, with
 ``--format machine`` where offered and always via ``--machine`` on the
 run commands, one ``key=JSON`` record per line that round-trips through
 :func:`parse_machine_report`.  Exit codes: 0 completed with a verdict,
-2 usage error, 3 unreadable or malformed instance file, 4 budget
-exhausted before a verdict.
+1 internal consistency failure (``check`` found the two oracles
+disagreeing), 2 usage error, 3 unreadable or malformed instance file,
+4 budget exhausted before a verdict.
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ def _matrix(instance: Instance) -> list[list[int]]:
     ]
 
 
+def _target_number(token: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"cannot read target {token!r}") from None
+
+
 def _parse_solutions(text: str) -> frozenset[tuple[int, int]]:
     t = text.strip().lower()
     if t in ("none", "empty"):
@@ -93,12 +101,12 @@ def _parse_solutions(text: str) -> frozenset[tuple[int, int]]:
     cells: set[tuple[int, int]] = set()
     for token in t.replace(";", " ").replace("(", " ").replace(")", " ").split():
         if token.startswith("row:"):
-            r = int(token[4:])
+            r = _target_number(token, token[4:])
             if not 1 <= r <= 6:
                 raise InvalidInputError(f"row {r} out of range")
             cells.update((r, j) for j in range(1, 7) if j != r)
         elif token.startswith("col:"):
-            c = int(token[4:])
+            c = _target_number(token, token[4:])
             if not 1 <= c <= 6:
                 raise InvalidInputError(f"column {c} out of range")
             cells.update((i, c) for i in range(1, 7) if i != c)
@@ -106,7 +114,7 @@ def _parse_solutions(text: str) -> frozenset[tuple[int, int]]:
             parts = token.split(",")
             if len(parts) != 2:
                 raise InvalidInputError(f"cannot read target {token!r}")
-            i, j = int(parts[0]), int(parts[1])
+            i, j = (_target_number(token, p) for p in parts)
             if not (1 <= i <= 6 and 1 <= j <= 6 and i != j):
                 raise InvalidInputError(f"({i},{j}) is not a table cell")
             cells.add((i, j))
@@ -318,6 +326,21 @@ def _cmd_export(args) -> int:
 # parser
 
 
+def _at_least(least: int, kind=int):
+    """argparse type: a number of the given kind no smaller than `least`."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eightblocks",
@@ -328,12 +351,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument(
         "--jobs",
-        type=int,
-        default=int(os.environ.get(JOBS_ENV, "1")),
+        type=_at_least(1),
+        # a string default is parsed by `type` only when the flag is absent
+        default=os.environ.get(JOBS_ENV, "1"),
         help=f"worker processes (default from ${JOBS_ENV} or 1)",
     )
-    run_flags.add_argument("--node-budget", type=int, default=None)
-    run_flags.add_argument("--time-budget", type=float, default=None)
+    run_flags.add_argument("--node-budget", type=_at_least(0), default=None)
+    run_flags.add_argument("--time-budget", type=_at_least(0, float), default=None)
     run_flags.add_argument(
         "--seedless-deterministic",
         action="store_true",
@@ -365,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--checkpoint", default=None,
                    help="JSONL progress file; rerun with the same file to resume")
-    p.add_argument("--split-depth", type=int, default=2)
+    p.add_argument("--split-depth", type=_at_least(0), default=2)
     p.set_defaults(func=_cmd_search_existence)
 
     p = ssub.add_parser("max-infeasible", parents=[run_flags],
@@ -374,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("capped", "full"), default="full")
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--split-depth", type=int, default=2)
+    p.add_argument("--split-depth", type=_at_least(0), default=2)
     p.set_defaults(func=_cmd_search_max_infeasible)
 
     p = ssub.add_parser("min-universal", parents=[run_flags],

@@ -280,33 +280,10 @@ def count_bound(
     """
     cat = cat or catalog()
     t = _cell_index(target)
-    ti, tj = target
     vec = instance.vector()
-    best_row = 0
-    for r in range(1, 7):
-        if r == ti:
-            continue
-        s = 0
-        for jj in range(1, 7):
-            if jj == r:
-                continue
-            k = CELL_INDEX[(r, jj)]
-            if cat.share_table[t][k] == 2:
-                s += min(vec[k], 2)
-        best_row = max(best_row, s)
-    best_col = 0
-    for c in range(1, 7):
-        if c == tj:
-            continue
-        s = 0
-        for ii in range(1, 7):
-            if ii == c:
-                continue
-            k = CELL_INDEX[(ii, c)]
-            if cat.share_table[t][k] == 2:
-                s += min(vec[k], 2)
-        best_col = max(best_col, s)
-    return vec[t] + max(best_row, best_col)
+    return vec[t] + max(
+        sum(min(vec[k], 2) for k in cells) for _, _, cells in cat.supply_lines[t]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +392,6 @@ def bulk_target_verdicts(
     supply = np.zeros((m, len(CELLS)), dtype=np.int64)
 
     for t in range(len(CELLS)):
-        ti, tj = CELLS[t]
         own_pos = None
         compat: list[tuple[int, int, int]] = []
         for pos, k in enumerate(sup_idx):
@@ -476,18 +452,11 @@ def bulk_target_verdicts(
         matching[:, t] = cover >= 8
 
         # capped row/column supply bound, same lines as count_bound
-        groups: dict[tuple[str, int], list[int]] = {}
-        for pos, k in enumerate(sup_idx):
-            if k == t or cat.share_table[t][k] != 2:
-                continue
-            i, j = CELLS[k]
-            if i != ti:
-                groups.setdefault(("r", i), []).append(pos)
-            if j != tj:
-                groups.setdefault(("c", j), []).append(pos)
         best = zeros
-        for cols in groups.values():
-            best = np.maximum(best, caps[:, cols].sum(axis=1))
+        for _, _, cells in cat.supply_lines[t]:
+            cols = [pos for pos, k in enumerate(sup_idx) if k in cells]
+            if cols:
+                best = np.maximum(best, caps[:, cols].sum(axis=1))
         supply[:, t] = own + best
 
     return BulkVerdicts(support=sup, tree=tree, matching=matching, supply_bound=supply)

@@ -389,6 +389,8 @@ def octet_census(
     orbit total against the cycle-count formula, and the attaining
     example against the matching oracle.
     """
+    if jobs < 1:
+        raise InvalidInputError("jobs must be at least 1")
     cat = cat or catalog()
     start = time.monotonic()
     reps = list(orbit_vectors(8, cat))

@@ -1,8 +1,11 @@
 """Model export: CPLEX-style LP, DIMACS CNF, and a neutral text dump.
 
-The LP writer handles purely linear models (covering families and
-linear comparisons).  Disjunctive and capped constraints have no
-linear form here and are rejected rather than approximated.
+All three writers read the model's expanded constraint list, so the
+256-subset covering and forbid families of its targets appear written
+out.  The LP writer handles purely linear models (required targets and
+linear comparisons).  Forbidden targets, with their disjunctions and
+capped bounds, have no linear form here and are rejected rather than
+approximated.
 
 The CNF writer uses an order encoding for counts (one boolean per
 threshold, x >= v) and capped totalizer trees for sums.  A tree capped
@@ -24,6 +27,7 @@ from .model import (
     HallConstraint,
     LinearConstraint,
     Model,
+    expanded_constraints,
 )
 from .varieties import CELLS, CELL_INDEX
 
@@ -40,12 +44,11 @@ def _var_name(cell: Cell) -> str:
 
 def export_lp(model: Model) -> str:
     """Integer program in LP format; linear constraints only."""
-    for con in model.constraints:
-        if isinstance(con, (ForbiddenConstraint, CapBoundConstraint)):
-            raise UnsupportedModelError(
-                f"{type(con).__name__} has no linear LP form; "
-                "export the CNF encoding instead"
-            )
+    if model.forbidden:
+        raise UnsupportedModelError(
+            "forbidden targets have no linear LP form; "
+            "export the CNF encoding instead"
+        )
     lines = [f"\\ model: {model.name}", "Minimize"]
     if model.objective == "minimize-total":
         terms = " + ".join(_var_name(c) for c in CELLS)
@@ -58,7 +61,7 @@ def export_lp(model: Model) -> str:
     lines.append("Subject To")
     op = {"ge": ">=", "le": "<=", "eq": "="}
     k = 0
-    for con in model.constraints:
+    for con in expanded_constraints(model):
         k += 1
         if isinstance(con, LinearConstraint):
             terms = " + ".join(_var_name(c) for c in con.cells)
@@ -260,7 +263,7 @@ def export_dimacs(model: Model, total_at_most: int | None = None) -> DimacsEncod
         digits = b.sum_tree(leaves, rhs + 1)
         return -digits[rhs]
 
-    for con in model.constraints:
+    for con in expanded_constraints(model):
         if isinstance(con, LinearConstraint):
             if con.sense in ("ge", "eq"):
                 require_ge(con.cells, con.rhs)
@@ -271,10 +274,10 @@ def export_dimacs(model: Model, total_at_most: int | None = None) -> DimacsEncod
         elif isinstance(con, ForbiddenConstraint):
             lits = []
             trivially_true = False
-            for d in con.disjuncts:
-                if d.max_total < 0:
-                    continue  # vacuous empty-subset disjunct
-                lit = upper_digit(d.cells, d.max_total)
+            for h in con.covers:
+                if h.rhs == 0:
+                    continue  # the empty subset cannot fall short
+                lit = upper_digit(h.cells, h.rhs - 1)
                 if lit is None:
                     trivially_true = True
                     break
@@ -293,8 +296,6 @@ def export_dimacs(model: Model, total_at_most: int | None = None) -> DimacsEncod
             if sum(len(lv) for lv in leaves) > con.limit:
                 digits = b.sum_tree(leaves, con.limit + 1)
                 b.add(-digits[con.limit])
-        else:
-            raise UnsupportedModelError(f"no CNF form for {type(con).__name__}")
 
     if total_at_most is not None:
         require_le(CELLS, total_at_most)
@@ -329,7 +330,7 @@ def export_neutral(model: Model) -> str:
     def triples_tok(triples) -> str:
         return ",".join("".join(tr) for tr in triples) or "-"
 
-    for con in model.constraints:
+    for con in expanded_constraints(model):
         if isinstance(con, LinearConstraint):
             out.append(
                 f"linear {con.label.replace(' ', '_')} {con.sense} {con.rhs} "
@@ -343,11 +344,12 @@ def export_neutral(model: Model) -> str:
             )
         elif isinstance(con, ForbiddenConstraint):
             i, j = con.target
-            out.append(f"forbid {i} {j} {len(con.disjuncts)}")
-            for d in con.disjuncts:
+            out.append(f"forbid {i} {j} {len(con.covers)}")
+            for h in con.covers:
+                # a disjunct bounds the subset's supply by its size minus one
                 out.append(
-                    f"  disjunct {d.max_total} {triples_tok(d.triples)} "
-                    f"{cells_tok(d.cells)}"
+                    f"  disjunct {h.rhs - 1} {triples_tok(h.triples)} "
+                    f"{cells_tok(h.cells)}"
                 )
         elif isinstance(con, CapBoundConstraint):
             i, j = con.target

@@ -1,15 +1,18 @@
 """Declarative constraint models over variety count vectors.
 
-A model fixes one integer variable per table cell together with
-constraints of four kinds: plain linear comparisons, covering
-conditions that force a target to be composable, disjunctions that
-forbid it, and capped supply bounds that any forbidden target must
-respect.  Models are data; solving and exporting live elsewhere.
+A model fixes one integer variable per table cell, a list of plain
+linear comparisons, and two disjoint target sets: ``required`` cells
+must be composable, ``forbidden`` cells must not be.  Models are data;
+solving and exporting live elsewhere.
 
 Composability of a target is equivalent to the full family of covering
 conditions over the 256 subsets of its corner triples: every subset
 must be coverable by at least as many usable cubes as it has members.
-Forbidding a target asserts the negation, a 256-way disjunction.
+Forbidding a target asserts the negation, a 256-way disjunction, and
+brings ten capped supply bounds that any forbidden target respects.
+These literal families exist only in :func:`expanded_constraints`,
+which :func:`check_assignment` and the exports read; the solver decides
+the targets with the composability oracle instead.
 """
 
 from __future__ import annotations
@@ -76,18 +79,15 @@ class HallConstraint:
 
 
 @dataclass(frozen=True)
-class ForbiddenDisjunct:
-    triples: tuple[Triple, ...]
-    cells: tuple[Cell, ...]
-    max_total: int  # subset size minus one; -1 marks the vacuous empty case
-
-
-@dataclass(frozen=True)
 class ForbiddenConstraint:
-    """Target not composable: some triple subset is under-supplied."""
+    """Target not composable: some covering condition of its family fails.
+
+    ``covers`` is the target's :func:`hall_family`; the forbid holds when
+    the supply of at least one subset stays below its size.
+    """
 
     target: Cell
-    disjuncts: tuple[ForbiddenDisjunct, ...]
+    covers: tuple[HallConstraint, ...]
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,21 @@ Constraint = LinearConstraint | HallConstraint | ForbiddenConstraint | CapBoundC
 class Model:
     name: str
     variables: tuple[VarietyVariable, ...]  # one per cell, canonical order
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[LinearConstraint, ...]
     objective: str | None = None  # None or 'minimize-total'
     required: frozenset[Cell] = field(default_factory=frozenset)
     forbidden: frozenset[Cell] = field(default_factory=frozenset)
     mode: str = "full"
+
+    def __post_init__(self):
+        for con in self.constraints:
+            if not isinstance(con, LinearConstraint):
+                raise InvalidInputError(
+                    f"model constraints are linear; got {type(con).__name__}"
+                )
+        both = self.required & self.forbidden
+        if both:
+            raise InvalidInputError(f"cells both required and forbidden: {sorted(both)}")
 
     def variable(self, cell: Cell) -> VarietyVariable:
         return self.variables[CELL_INDEX[cell]]
@@ -169,7 +179,11 @@ def _subset_cells(
 
 def hall_family(target: Cell, cat: Catalog | None = None) -> tuple[HallConstraint, ...]:
     """All 256 covering conditions of one target, empty subset included."""
-    cat = cat or catalog()
+    return _hall_family(target, cat or catalog())
+
+
+@lru_cache(maxsize=None)
+def _hall_family(target: Cell, cat: Catalog) -> tuple[HallConstraint, ...]:
     out = []
     for mask in range(256):
         triples, cells = _subset_cells(target, mask, cat)
@@ -181,56 +195,46 @@ def hall_family(target: Cell, cat: Catalog | None = None) -> tuple[HallConstrain
     return tuple(out)
 
 
-def forbidden_constraint(
-    target: Cell, cat: Catalog | None = None
-) -> ForbiddenConstraint:
-    cat = cat or catalog()
-    disjuncts = []
-    for mask in range(256):
-        triples, cells = _subset_cells(target, mask, cat)
-        disjuncts.append(
-            ForbiddenDisjunct(
-                triples=triples, cells=cells, max_total=len(triples) - 1
-            )
-        )
-    return ForbiddenConstraint(target=target, disjuncts=tuple(disjuncts))
-
-
 def cap_bounds(
     target: Cell, cat: Catalog | None = None
 ) -> tuple[CapBoundConstraint, ...]:
     """The ten per-line supply caps a forbidden target must satisfy."""
     cat = cat or catalog()
-    t = CELL_INDEX[target]
-    ti, tj = target
-    out = []
-    for r in range(1, 7):
-        if r == ti:
-            continue
-        line = tuple(
-            (r, jj)
-            for jj in range(1, 7)
-            if jj != r and cat.share_table[t][CELL_INDEX[(r, jj)]] == 2
+    return tuple(
+        CapBoundConstraint(
+            target=target,
+            axis=axis,
+            line=line,
+            own_cell=target,
+            capped_cells=tuple(CELLS[k] for k in cells),
         )
-        out.append(
-            CapBoundConstraint(
-                target=target, axis="row", line=r, own_cell=target, capped_cells=line
-            )
-        )
-    for c in range(1, 7):
-        if c == tj:
-            continue
-        line = tuple(
-            (ii, c)
-            for ii in range(1, 7)
-            if ii != c and cat.share_table[t][CELL_INDEX[(ii, c)]] == 2
-        )
-        out.append(
-            CapBoundConstraint(
-                target=target, axis="col", line=c, own_cell=target, capped_cells=line
-            )
-        )
-    assert all(len(b.capped_cells) == 4 for b in out)
+        for axis, line, cells in cat.supply_lines[CELL_INDEX[target]]
+    )
+
+
+@lru_cache(maxsize=None)
+def _forbidden_family(target: Cell, cat: Catalog) -> tuple[Constraint, ...]:
+    return (ForbiddenConstraint(target, _hall_family(target, cat)),) + cap_bounds(
+        target, cat
+    )
+
+
+def expanded_constraints(
+    model: Model, cat: Catalog | None = None
+) -> tuple[Constraint, ...]:
+    """The model's constraints written out literally.
+
+    The linear constraints come first, then for each cell in CELLS
+    order the covering family of a required cell, or the forbid
+    disjunction and ten cap bounds of a forbidden cell.
+    """
+    cat = cat or catalog()
+    out: list[Constraint] = list(model.constraints)
+    for c in CELLS:
+        if c in model.required:
+            out.extend(_hall_family(c, cat))
+        elif c in model.forbidden:
+            out.extend(_forbidden_family(c, cat))
     return tuple(out)
 
 
@@ -264,25 +268,18 @@ def existence_model(
     and shrinking counts cannot make a forbidden target composable.
     """
     _check_mode(mode)
-    cat = cat or catalog()
     req = _validated_cells(required)
     other_hi = CAPPED_LIMIT if mode == "capped" else SELF_BUILD_COUNT - 1
     variables = tuple(
         VarietyVariable(c, 0, SELF_BUILD_COUNT if c in req else other_hi)
         for c in CELLS
     )
-    constraints: list[Constraint] = []
+    constraints: list[LinearConstraint] = []
     if req:
         # some target must be composed, which takes eight cubes
         constraints.append(
             LinearConstraint("total-supply", "ge", CELLS, SELF_BUILD_COUNT)
         )
-    for c in CELLS:
-        if c in req:
-            constraints.extend(hall_family(c, cat))
-        else:
-            constraints.append(forbidden_constraint(c, cat))
-            constraints.extend(cap_bounds(c, cat))
     label = ",".join(f"({i},{j})" for i, j in sorted(req)) or "none"
     return Model(
         name=f"existence[{label}|{mode}]",
@@ -302,20 +299,13 @@ def max_infeasible_model(
     _check_mode(mode)
     if size < 0:
         raise InvalidInputError(f"negative size {size}")
-    cat = cat or catalog()
     hi = CAPPED_LIMIT if mode == "capped" else SELF_BUILD_COUNT - 1
     hi = min(hi, size)
     variables = tuple(VarietyVariable(c, 0, hi) for c in CELLS)
-    constraints: list[Constraint] = [
-        LinearConstraint("total-supply", "eq", CELLS, size)
-    ]
-    for c in CELLS:
-        constraints.append(forbidden_constraint(c, cat))
-        constraints.extend(cap_bounds(c, cat))
     return Model(
         name=f"max-infeasible[{size}|{mode}]",
         variables=variables,
-        constraints=tuple(constraints),
+        constraints=(LinearConstraint("total-supply", "eq", CELLS, size),),
         objective=None,
         required=frozenset(),
         forbidden=frozenset(CELLS),
@@ -325,17 +315,13 @@ def max_infeasible_model(
 
 def min_universal_model(cat: Catalog | None = None) -> Model:
     """Smallest instance composable for every target; pure covering model."""
-    cat = cat or catalog()
     variables = tuple(
         VarietyVariable(c, 0, SELF_BUILD_COUNT) for c in CELLS
     )
-    constraints: list[Constraint] = []
-    for c in CELLS:
-        constraints.extend(hall_family(c, cat))
     return Model(
         name="min-universal",
         variables=variables,
-        constraints=tuple(constraints),
+        constraints=(),
         objective="minimize-total",
         required=frozenset(CELLS),
         forbidden=frozenset(),
@@ -348,7 +334,7 @@ def min_universal_model(cat: Catalog | None = None) -> Model:
 
 
 def check_assignment(model: Model, instance: Instance) -> CheckResult:
-    """Literal evaluation of every domain and constraint, no oracles."""
+    """Literal evaluation of every domain and expanded constraint, no oracles."""
     vec = instance.vector()
     at = {c: vec[CELL_INDEX[c]] for c in CELLS}
     bad: list[str] = []
@@ -356,7 +342,7 @@ def check_assignment(model: Model, instance: Instance) -> CheckResult:
         n = at[v.coords]
         if not (v.lo <= n <= v.hi):
             bad.append(f"domain {v.coords}: {n} outside [{v.lo},{v.hi}]")
-    for con in model.constraints:
+    for con in expanded_constraints(model):
         if isinstance(con, LinearConstraint):
             s = sum(at[c] for c in con.cells)
             ok = (
@@ -376,9 +362,7 @@ def check_assignment(model: Model, instance: Instance) -> CheckResult:
                     f"cover {con.target} [{names}]: supply {s} < {con.rhs}"
                 )
         elif isinstance(con, ForbiddenConstraint):
-            hit = any(
-                sum(at[c] for c in d.cells) <= d.max_total for d in con.disjuncts
-            )
+            hit = any(sum(at[c] for c in h.cells) < h.rhs for h in con.covers)
             if not hit:
                 bad.append(f"forbid {con.target}: every triple subset is supplied")
         elif isinstance(con, CapBoundConstraint):
@@ -389,16 +373,4 @@ def check_assignment(model: Model, instance: Instance) -> CheckResult:
                 bad.append(
                     f"capbound {con.target} {con.axis} {con.line}: {s} > {con.limit}"
                 )
-        else:
-            raise InvalidInputError(f"unknown constraint type {type(con).__name__}")
     return CheckResult(ok=not bad, violations=tuple(bad))
-
-
-@lru_cache(maxsize=None)
-def _builders_selfcheck() -> bool:
-    # structural counts the rest of the package leans on
-    m = min_universal_model()
-    assert len(m.constraints) == 30 * 256
-    m2 = existence_model([(1, 2)])
-    assert len(m2.constraints) == 1 + 256 + 29 * 11
-    return True

@@ -2,9 +2,12 @@
 
 Search walks the 30 table-cell variables with interval domains, running
 bound propagation, capped supply cuts and the composability oracles at
-every node.  Covering families and forbidden families built by the
-model module are recognized structurally and replaced by their oracle
-semantics; anything else is handled by plain arithmetic.
+every node.  The model's required and forbidden target sets are decided
+by the tree oracle, never by their 256-subset families; the linear
+constraints and each forbidden target's cap bounds are handled by plain
+arithmetic.  Variables are chosen required targets first, then by
+smallest domain; required cells try values high to low, others low to
+high.
 
 Symmetry handling is dominance-only: at every node each admissible
 table symmetry is advanced along a fixed-prefix comparison, and a
@@ -20,21 +23,12 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .composability import composable_from_vector
 from .errors import InvalidInputError
 from .instances import Instance
-from .model import (
-    CapBoundConstraint,
-    ForbiddenConstraint,
-    HallConstraint,
-    LinearConstraint,
-    Model,
-    check_assignment,
-    forbidden_constraint,
-    hall_family,
-)
+from .model import LinearConstraint, Model, cap_bounds, check_assignment
 from .symmetry import Symmetry, cell_perms, group, permuted_vector
 from .varieties import CELLS, CELL_INDEX, Catalog, catalog
 
@@ -44,18 +38,15 @@ N_CELLS = len(CELLS)
 @dataclass(frozen=True)
 class SearchOptions:
     symmetry: bool = True
-    heuristic: str = "required-first"  # or "fail-first" | "canonical"
-    value_order: str = "auto"  # or "descending" | "ascending"
     node_budget: int | None = None
     time_budget: float | None = None
     jobs: int = 1
-    symmetries: tuple[Symmetry, ...] | None = None  # explicit group override
 
     def __post_init__(self):
-        if self.heuristic not in ("required-first", "fail-first", "canonical"):
-            raise InvalidInputError(f"unknown heuristic {self.heuristic!r}")
-        if self.value_order not in ("auto", "descending", "ascending"):
-            raise InvalidInputError(f"unknown value order {self.value_order!r}")
+        if self.node_budget is not None and self.node_budget < 0:
+            raise InvalidInputError("node budget must not be negative")
+        if self.time_budget is not None and self.time_budget < 0:
+            raise InvalidInputError("time budget must not be negative")
         if self.jobs < 1:
             raise InvalidInputError("jobs must be at least 1")
 
@@ -86,10 +77,10 @@ def admissible_symmetries(
 
     An element qualifies when its cell action preserves every domain,
     maps the required and forbidden target sets onto themselves, and
-    maps each remaining linear constraint onto one of the others.
-    Covering and forbidding families need no syntactic check: they are
-    carried along with their targets, and the capped supply bounds are
-    consequences of the forbidden families they accompany.
+    maps each linear constraint onto one of the others.  Covering and
+    forbidding families need no check: they are carried along with
+    their targets, and the capped supply bounds are consequences of
+    the forbidden families they accompany.
     """
     cat = cat or catalog()
     syms = group(cat)
@@ -100,7 +91,6 @@ def admissible_symmetries(
     linear_sigs = frozenset(
         (con.sense, con.rhs, frozenset(CELL_INDEX[c] for c in con.cells))
         for con in model.constraints
-        if isinstance(con, LinearConstraint)
     )
     out = []
     for s, p in zip(syms, perms):
@@ -119,23 +109,6 @@ def admissible_symmetries(
     return tuple(out)
 
 
-def _validated_perms(
-    model: Model, syms: tuple[Symmetry, ...], cat: Catalog
-) -> list[tuple[int, ...]]:
-    allowed = set(admissible_symmetries(model, cat))
-    all_syms = group(cat)
-    perms = cell_perms(cat)
-    out = []
-    for s in syms:
-        if s not in allowed:
-            raise InvalidInputError(
-                f"symmetry {s.color_map}/{'m' if s.mirrored else 'p'} "
-                "does not stabilize the model"
-            )
-        out.append(perms[all_syms.index(s)])
-    return out
-
-
 # ----------------------------------------------------------------------
 # compilation
 
@@ -151,71 +124,34 @@ class _Compiled:
             (t,) + tuple(cat.compatible_cells[t]) for t in range(N_CELLS)
         ]
 
-        linear: list[tuple[str, tuple[int, ...], int]] = []
-        req_targets: list[int] = []
-        forb_targets: list[int] = []
-        generic_forbidden: list[tuple[tuple[tuple[int, ...], int], ...]] = []
-        cap_lines: list[tuple[int, tuple[int, ...], int, int]] = []
-        halls_by_target: dict[tuple[int, int], list[HallConstraint]] = {}
-        for con in model.constraints:
-            if isinstance(con, LinearConstraint):
-                linear.append(
-                    (con.sense, tuple(CELL_INDEX[c] for c in con.cells), con.rhs)
-                )
-            elif isinstance(con, HallConstraint):
-                halls_by_target.setdefault(con.target, []).append(con)
-            elif isinstance(con, ForbiddenConstraint):
-                if con == forbidden_constraint(con.target, cat):
-                    forb_targets.append(CELL_INDEX[con.target])
-                else:
-                    generic_forbidden.append(
-                        tuple(
-                            (tuple(CELL_INDEX[c] for c in d.cells), d.max_total)
-                            for d in con.disjuncts
-                        )
-                    )
-            elif isinstance(con, CapBoundConstraint):
-                cap_lines.append(
-                    (
-                        CELL_INDEX[con.own_cell],
-                        tuple(CELL_INDEX[c] for c in con.capped_cells),
-                        con.cap,
-                        con.limit,
-                    )
-                )
-            else:
-                raise InvalidInputError(
-                    f"unknown constraint type {type(con).__name__}"
-                )
-        for target, cons in halls_by_target.items():
-            if tuple(cons) == hall_family(target, cat):
-                req_targets.append(CELL_INDEX[target])
-            else:
-                # partial family: fall back to plain linear inequalities
-                for c in cons:
-                    if c.rhs:
-                        linear.append(
-                            ("ge", tuple(CELL_INDEX[x] for x in c.cells), c.rhs)
-                        )
-        self.linear = linear
-        self.req_targets = req_targets
-        self.forb_targets = forb_targets
-        self.required_idx = frozenset(CELL_INDEX[c] for c in model.required)
-        self.generic_forbidden = generic_forbidden
-        self.cap_lines = cap_lines
+        self.linear = [
+            (con.sense, tuple(CELL_INDEX[c] for c in con.cells), con.rhs)
+            for con in model.constraints
+        ]
+        self.req_targets = [k for k, c in enumerate(CELLS) if c in model.required]
+        self.forb_targets = [k for k, c in enumerate(CELLS) if c in model.forbidden]
+        self.required_idx = frozenset(self.req_targets)
+        self.cap_lines = [
+            (
+                CELL_INDEX[b.own_cell],
+                tuple(CELL_INDEX[c] for c in b.capped_cells),
+                b.cap,
+                b.limit,
+            )
+            for t in self.forb_targets
+            for b in cap_bounds(CELLS[t], cat)
+        ]
         self.req_of_cell: list[list[int]] = [[] for _ in range(N_CELLS)]
-        for slot, t in enumerate(req_targets):
+        for slot, t in enumerate(self.req_targets):
             for k in self.usable[t]:
                 self.req_of_cell[k].append(slot)
         self.forb_of_cell: list[list[int]] = [[] for _ in range(N_CELLS)]
-        for slot, t in enumerate(forb_targets):
+        for slot, t in enumerate(self.forb_targets):
             for k in self.usable[t]:
                 self.forb_of_cell[k].append(slot)
 
         if not options.symmetry:
             self.perms: list[tuple[int, ...]] = []
-        elif options.symmetries is not None:
-            self.perms = _validated_perms(model, options.symmetries, cat)
         else:
             allowed = set(admissible_symmetries(model, cat))
             self.perms = [
@@ -245,7 +181,6 @@ class _Compiled:
 class _Search:
     def __init__(self, comp: _Compiled, options: SearchOptions):
         self.c = comp
-        self.opt = options
         self.lo = list(comp.lo0)
         self.hi = list(comp.hi0)
         self.trail: list[tuple[int, int, int]] = []
@@ -410,15 +345,6 @@ class _Search:
                     ):
                         self.stats["prune_forbidden_oracle"] += 1
                         return False
-            for disjuncts in c.generic_forbidden:
-                alive = False
-                for cells, max_total in disjuncts:
-                    if sum(self.lo[i] for i in cells) <= max_total:
-                        alive = True
-                        break
-                if not alive:
-                    self.stats["prune_generic_forbidden"] += 1
-                    return False
         return True
 
     # -- symmetry dominance ---------------------------------------------
@@ -461,13 +387,10 @@ class _Search:
 
     def _pick_var(self) -> int:
         unfixed = [k for k in range(N_CELLS) if self.lo[k] < self.hi[k]]
-        if self.opt.heuristic == "canonical":
-            return unfixed[0]
-        if self.opt.heuristic == "required-first":
-            # settle the targets that must be composable before the rest
-            for k in unfixed:
-                if k in self.c.required_idx:
-                    return k
+        # settle the targets that must be composable before the rest
+        for k in unfixed:
+            if k in self.c.required_idx:
+                return k
         span = min(self.hi[k] - self.lo[k] for k in unfixed)
         best, best_score = -1, -1
         for k in unfixed:
@@ -485,10 +408,7 @@ class _Search:
         return best
 
     def _values(self, k: int):
-        vo = self.opt.value_order
-        if vo == "auto":
-            vo = "descending" if k in self.c.required_idx else "ascending"
-        if vo == "descending":
+        if k in self.c.required_idx:
             return range(self.hi[k], self.lo[k] - 1, -1)
         return range(self.lo[k], self.hi[k] + 1)
 
@@ -567,9 +487,8 @@ def _surrogate_floor(model: Model, cat: Catalog) -> int:
     lo_total = sum(v.lo for v in model.variables)
     best = lo_total
     for con in model.constraints:
-        if isinstance(con, LinearConstraint) and con.sense in ("ge", "eq"):
-            if frozenset(con.cells) == frozenset(CELLS):
-                best = max(best, con.rhs)
+        if con.sense in ("ge", "eq") and frozenset(con.cells) == frozenset(CELLS):
+            best = max(best, con.rhs)
     req = [CELL_INDEX[c] for c in model.required]
     if req:
         occ = [0] * N_CELLS
@@ -604,6 +523,8 @@ def _split_values(model: Model) -> tuple[tuple[int, int], list[int]] | None:
 
 def split_subproblems(model: Model, depth: int = 1) -> list[Model]:
     """Partition of the model by fixing the first free cells, in search order."""
+    if depth < 0:
+        raise InvalidInputError(f"negative split depth {depth}")
     subs = [model]
     for _ in range(depth):
         nxt = []
@@ -619,6 +540,30 @@ def split_subproblems(model: Model, depth: int = 1) -> list[Model]:
     return subs
 
 
+def _subproblem_tasks(
+    subs: list[Model], options: SearchOptions
+) -> list[tuple[Model, SearchOptions]]:
+    """Serial options per subproblem, together spending no more nodes
+    than one serial search of the parent may.
+
+    A search with node budget b counts at most b + 1 nodes, so the
+    parent's b + 1 are dealt out evenly and a share s becomes budget
+    s - 1.  Subproblems whose share is zero are left out; the caller
+    reports them as not searched.
+    """
+    opts = replace(options, jobs=1)
+    nb = options.node_budget
+    if nb is None:
+        return [(m, opts) for m in subs]
+    q, r = divmod(nb + 1, len(subs))
+    shares = [q + (i < r) for i in range(len(subs))]
+    return [
+        (m, replace(opts, node_budget=share - 1))
+        for m, share in zip(subs, shares)
+        if share
+    ]
+
+
 def _worker_decision(args) -> tuple[str, tuple[int, ...] | None, Counter]:
     model, options = args
     return _decision_once(model, options, catalog())
@@ -630,14 +575,12 @@ def _parallel_decision(
     subs = split_subproblems(model, depth=1)
     if len(subs) <= 1:
         return _decision_once(model, options, cat)
-    sub_opts = replace(options, jobs=1)
+    tasks = _subproblem_tasks(subs, options)
     stats: Counter = Counter()
-    status_all = "unsat"
+    status_all = "unsat" if len(tasks) == len(subs) else "timeout"
     witness = None
     with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-        for status, vec, st in pool.map(
-            _worker_decision, [(m, sub_opts) for m in subs]
-        ):
+        for status, vec, st in pool.map(_worker_decision, tasks):
             stats.update(st)
             if status == "sat" and status_all != "sat":
                 status_all, witness = "sat", vec
@@ -720,16 +663,14 @@ def enumerate_all(
     cat = cat or catalog()
     if options.jobs > 1:
         subs = split_subproblems(model, depth=1)
-        sub_opts = replace(options, jobs=1)
+        tasks = _subproblem_tasks(subs, options)
         collected: set[tuple[int, ...]] = set()
-        complete = True
+        complete = len(tasks) == len(subs)
         # restricted subproblems carry smaller admissible groups, so
         # their canonical forms must be re-reduced under the parent's
         parent = _Compiled(model, options, cat)
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            for comp_flag, vecs in pool.map(
-                _worker_enumerate, [(m, sub_opts) for m in subs]
-            ):
+            for comp_flag, vecs in pool.map(_worker_enumerate, tasks):
                 complete = complete and comp_flag
                 collected.update(parent.canonical_witness(v) for v in vecs)
         vec_list = sorted(collected)

@@ -111,6 +111,21 @@ class Catalog:
             tuple(b for b in range(n) if b != a and self.share_table[a][b] == 0)
             for a in range(n)
         )
+        # supply_lines[t]: (axis, line, cells) for every row and then every
+        # column other than the target's own, listing the four compatible
+        # cells on that line; the capped supply bounds sum over these
+        self.supply_lines: tuple[
+            tuple[tuple[str, int, tuple[int, ...]], ...], ...
+        ] = tuple(
+            tuple(
+                (axis, line, tuple(k for k in self.compatible_cells[t]
+                                   if CELLS[k][pos] == line))
+                for axis, pos in (("row", 0), ("col", 1))
+                for line in range(1, 7)
+                if line != CELLS[t][pos]
+            )
+            for t in range(n)
+        )
         self.triple_nodes: tuple[tuple[Triple, ...], ...] = tuple(
             tuple(sorted(v.triples)) for v in self.varieties
         )

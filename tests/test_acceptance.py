@@ -36,7 +36,7 @@ from eightblocks.experiments import (
     verify_small_sizes_infeasible,
 )
 from eightblocks.instances import Instance
-from eightblocks.model import hall_family, min_universal_model
+from eightblocks.model import expanded_constraints, hall_family, min_universal_model
 from eightblocks.symmetry import count_orbits
 from eightblocks.varieties import CELL_INDEX, CELLS
 
@@ -173,7 +173,7 @@ def test_criterion_5_constructive_existence(cat):
 
 def test_criterion_6_model_fidelity(cat):
     with _criterion(6, "model fidelity", budget=60.0):
-        assert len(min_universal_model(cat).constraints) == 7_680
+        assert len(expanded_constraints(min_universal_model(cat), cat)) == 7_680
         fams = {c: hall_family(c, cat) for c in CELLS}
         compiled = {
             c: [

@@ -165,6 +165,33 @@ def test_jobs_env_default(monkeypatch):
     assert args.jobs == 2
 
 
+@pytest.mark.parametrize(
+    "env_jobs, argv, code",
+    [
+        ("abc", ["table"], 0),  # table takes no --jobs, so ignores the variable
+        ("abc", ["search", "existence", "--solutions", "1,2"], 2),
+        (None, ["search", "existence", "--solutions", "row:x"], 2),
+        (None, ["search", "existence", "--solutions", "1,x"], 2),
+        (None, ["search", "existence", "--solutions", "1,2",
+                "--split-depth", "-1"], 2),
+        (None, ["search", "min-universal", "--node-budget", "-5"], 2),
+        (None, ["search", "min-universal", "--time-budget", "-1"], 2),
+        (None, ["census", "octets", "--jobs", "0"], 2),
+    ],
+)
+def test_bad_input_exits_without_traceback(monkeypatch, capsys, env_jobs, argv, code):
+    if env_jobs is None:
+        monkeypatch.delenv("EIGHTBLOCKS_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("EIGHTBLOCKS_JOBS", env_jobs)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+    assert rc == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_scan_row_machine(capsys):
     rc = main(["scan", "row-infeasible", "--row", "2", "--machine"])
     assert rc == 0

@@ -6,6 +6,7 @@ a small counter-based propagator decides satisfiability of the encoded
 model at that point.
 """
 
+import hashlib
 from collections import deque
 from dataclasses import replace
 
@@ -55,6 +56,29 @@ def propagate(enc, units):
                         queue.append(other)
                         break
     return assign, False, all(sat)
+
+
+# ----------------------------------------------------------------------
+# byte-level pins: the expansion of targets into literal families must
+# keep its order and wording
+
+
+@pytest.mark.parametrize(
+    "export, build, digest",
+    [
+        (export_neutral, min_universal_model,
+         "fd5d46f82bd97304b34e15f669c9e728ac30cb4d5a7bd4501eef01bdd1bf47aa"),
+        (export_lp, min_universal_model,
+         "a99d7597b573345d0086274dea2489a5d627abfa126d603fd73b0a0b7f5f1d6c"),
+        (export_neutral, lambda cat: existence_model([(1, 2)], "capped", cat),
+         "9970937608a4132aececf7f2518c46b9d3a438b64da46a6ce2770f42b467af20"),
+        (export_neutral, lambda cat: max_infeasible_model(24, "capped", cat),
+         "4ae7a5371aa1438089c319f78b218efac3db532297d0575cd8fc25d52f0eb629"),
+    ],
+)
+def test_export_bytes_pinned(cat, export, build, digest):
+    text = export(build(cat))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------

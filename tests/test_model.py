@@ -1,6 +1,7 @@
 """Constraint-model builders and the literal assignment checker."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from eightblocks.model import (
     cap_bounds,
     check_assignment,
     existence_model,
-    forbidden_constraint,
+    expanded_constraints,
     hall_family,
     max_infeasible_model,
     min_universal_model,
@@ -30,7 +31,7 @@ from eightblocks.varieties import CELLS
 
 def _kinds(model):
     out = {"linear": 0, "hall": 0, "forbid": 0, "cap": 0}
-    for con in model.constraints:
+    for con in expanded_constraints(model):
         if isinstance(con, LinearConstraint):
             out["linear"] += 1
         elif isinstance(con, HallConstraint):
@@ -45,7 +46,7 @@ def _kinds(model):
 def test_existence_singleton_structure(cat):
     m = existence_model([(1, 2)], mode="capped", cat=cat)
     assert _kinds(m) == {"linear": 1, "hall": 256, "forbid": 29, "cap": 290}
-    assert len(m.constraints) == 576
+    assert len(expanded_constraints(m)) == 576
     assert m.required == {(1, 2)}
     assert m.forbidden == frozenset(CELLS) - {(1, 2)}
     assert m.objective is None
@@ -74,7 +75,7 @@ def test_min_universal_structure(cat):
 def test_max_infeasible_structure(cat):
     m = max_infeasible_model(24, mode="full", cat=cat)
     assert _kinds(m) == {"linear": 1, "hall": 0, "forbid": 30, "cap": 300}
-    assert len(m.constraints) == 331
+    assert len(expanded_constraints(m)) == 331
     assert m.domains() == ((0, 7),) * 30
     capped = max_infeasible_model(24, mode="capped", cat=cat)
     assert capped.domains() == ((0, 2),) * 30
@@ -100,15 +101,6 @@ def test_hall_family_shapes(cat):
         assert len(con.cells) == 6 and con.cells[0] == (1, 2)
     whole = by_rhs[8][0]
     assert len(whole.cells) == 21  # target plus all twenty compatibles
-
-
-def test_forbidden_tracks_hall_family(cat):
-    fam = hall_family((3, 5), cat)
-    forb = forbidden_constraint((3, 5), cat)
-    assert len(forb.disjuncts) == 256
-    for con, dis in zip(fam, forb.disjuncts):
-        assert dis.cells == con.cells
-        assert dis.max_total == con.rhs - 1
 
 
 def test_cap_bounds_shape(cat):
@@ -172,6 +164,12 @@ def test_builder_input_validation(cat):
         existence_model([(1, 2)], mode="loose", cat=cat)
     with pytest.raises(InvalidInputError):
         max_infeasible_model(-1, cat=cat)
+    # targets are declared by the two sets, never as constraints
+    m = existence_model([(1, 2)], cat=cat)
+    with pytest.raises(InvalidInputError):
+        replace(m, constraints=hall_family((1, 2), cat))
+    with pytest.raises(InvalidInputError):
+        replace(m, forbidden=frozenset(CELLS))
 
 
 def test_domain_violation_reported(cat):

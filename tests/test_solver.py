@@ -11,7 +11,6 @@ from eightblocks.model import (
     Model,
     VarietyVariable,
     existence_model,
-    hall_family,
     max_infeasible_model,
 )
 from eightblocks.solver import (
@@ -21,7 +20,7 @@ from eightblocks.solver import (
     solve,
     split_subproblems,
 )
-from eightblocks.symmetry import canonical_vector, cell_perms, group, orbit_vectors
+from eightblocks.symmetry import canonical_vector, orbit_vectors
 from eightblocks.varieties import CELLS
 
 
@@ -78,6 +77,20 @@ def test_node_budget_timeout(cat):
     assert res.witness is None and res.nodes <= 3
 
 
+def test_node_budget_holds_under_jobs(cat):
+    m = max_infeasible_model(24, mode="capped", cat=cat)
+    serial = solve(m, SearchOptions(jobs=1, node_budget=2000), cat=cat)
+    par = solve(m, SearchOptions(jobs=2, node_budget=2000), cat=cat)
+    assert serial.status == par.status == "timeout"
+    assert serial.nodes == 2001 and par.nodes <= serial.nodes
+    # a budget smaller than the subproblem count leaves some unsearched
+    tiny = solve(m, SearchOptions(jobs=2, node_budget=1), cat=cat)
+    assert tiny.status == "timeout" and tiny.nodes <= 2
+    r23 = _row_restricted(max_infeasible_model(23, mode="full", cat=cat), 1)
+    _, complete = enumerate_all(r23, SearchOptions(jobs=2, node_budget=1), cat=cat)
+    assert not complete
+
+
 def test_time_budget_timeout(cat):
     m = max_infeasible_model(24, mode="capped", cat=cat)
     res = solve(m, SearchOptions(time_budget=0.25), cat=cat)
@@ -127,49 +140,20 @@ def test_admissible_symmetry_sizes(cat):
     assert len(admissible_symmetries(existence_model([(1, 2)], cat=cat), cat)) == 48
 
 
-def test_symmetry_override_validation(cat):
-    m = existence_model([(1, 2)], mode="capped", cat=cat)
-    allowed = set(admissible_symmetries(m, cat))
-    bad = next(s for s in group(cat) if s not in allowed)
-    with pytest.raises(InvalidInputError):
-        solve(m, SearchOptions(symmetries=(bad,)), cat=cat)
-    ident = next(
-        s for s, p in zip(group(cat), cell_perms(cat)) if p == tuple(range(30))
-    )
-    res = solve(m, SearchOptions(symmetries=(ident,)), cat=cat)
-    assert res.status == "sat"
-
-
-def test_value_orders_agree(cat):
-    m = existence_model([(4, 6)], mode="capped", cat=cat)
-    for vo in ("auto", "descending", "ascending"):
-        res = solve(m, SearchOptions(value_order=vo), cat=cat)
-        assert res.status == "sat"
-        assert solution_set(res.witness, cat) == {(4, 6)}
-
-
-def test_heuristics_agree(cat):
-    m = existence_model([(1, 6)], mode="capped", cat=cat)
-    for h in ("required-first", "fail-first", "canonical"):
-        res = solve(m, SearchOptions(heuristic=h), cat=cat)
-        assert res.status == "sat"
-        assert solution_set(res.witness, cat) == {(1, 6)}
-
-
 def test_options_validation():
     with pytest.raises(InvalidInputError):
-        SearchOptions(heuristic="luckiest-first")
-    with pytest.raises(InvalidInputError):
-        SearchOptions(value_order="random")
-    with pytest.raises(InvalidInputError):
         SearchOptions(jobs=0)
+    with pytest.raises(InvalidInputError):
+        SearchOptions(node_budget=-5)
+    with pytest.raises(InvalidInputError):
+        SearchOptions(time_budget=-1.0)
 
 
 def test_minimize_toy(cat):
     m = Model(
         name="cheapest-single-target",
         variables=tuple(VarietyVariable(c, 0, 8) for c in CELLS),
-        constraints=hall_family((1, 2), cat),
+        constraints=(),
         objective="minimize-total",
         required=frozenset({(1, 2)}),
     )
