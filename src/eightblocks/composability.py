@@ -12,7 +12,11 @@ Two independent routes decide this:
   number of cubes of the target variety is at least the number of tree
   components.
 
-Both routes are kept separate so they can cross-check each other.
+Both routes are kept separate so they can cross-check each other.  The
+tree route has one kernel, ``graphs.tree_component_count``, and one
+multigraph builder, ``treecount_from_vector``.  The bulk scan calls the
+builder once per capped count pattern (each compatible count capped at
+two, which cannot change a tree count), not once per count vector.
 """
 
 from __future__ import annotations
@@ -201,44 +205,12 @@ def hall_satisfied(
 # tree route
 
 
-@dataclass(frozen=True)
-class SharedTripleGraph:
-    """Multigraph of shared triples for one target."""
-
-    target: tuple[int, int]
-    nodes: tuple[Triple, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (node, node, multiplicity)
-
-
-def shared_multigraph(
-    instance: Instance, target: tuple[int, int], cat: Catalog | None = None
-) -> SharedTripleGraph:
-    cat = cat or catalog()
-    t = _cell_index(target)
-    edges = []
-    vec = instance.vector()
-    for k, n in enumerate(vec):
-        if n and k != t:
-            pair = cat.shared_pairs[t][k]
-            if pair is not None:
-                edges.append((pair[0], pair[1], n))
-    return SharedTripleGraph(
-        target=tuple(target), nodes=cat.triple_nodes[t], edges=tuple(edges)
-    )
-
-
-def tree_component_count(
-    instance: Instance, target: tuple[int, int], cat: Catalog | None = None
-) -> int:
-    g = shared_multigraph(instance, target, cat)
-    return _tree_count_raw(8, g.edges)
-
-
 def is_composable_treecount(
     instance: Instance, target: tuple[int, int], cat: Catalog | None = None
 ) -> bool:
     t = _cell_index(target)
-    return instance.vector()[t] >= tree_component_count(instance, target, cat)
+    vec = instance.vector()
+    return vec[t] >= treecount_from_vector(vec, t, cat or catalog())
 
 
 # vector-level variants used by scans and the solver; same mathematics,
@@ -248,6 +220,11 @@ def is_composable_treecount(
 def treecount_from_vector(
     vec: Sequence[int], target_index: int, cat: Catalog
 ) -> int:
+    """Tree components of the target's shared-triple multigraph.
+
+    The one place that builds the multigraph: each compatible cell with
+    a positive count is an edge between its two shared triples.
+    """
     pairs = cat.shared_pairs[target_index]
     edges = []
     for k in cat.compatible_cells[target_index]:
@@ -333,10 +310,11 @@ def universal_lower_bound(cat: Catalog | None = None) -> int:
 # bulk scans
 #
 # Corpus-wide oracle sweeps need verdicts for millions of (instance,
-# target) pairs.  For a fixed small support with every count positive
-# the shared-triple graph's component structure does not depend on the
-# counts, and the matching question dualizes to a minimum vertex cover
-# in which each cube class is either taken whole or pays for all corner
+# target) pairs.  On a fixed small support the tree count depends only
+# on which compatible counts are 1 and which are more (a tree component
+# has every edge multiplicity 1), so it is computed once per capped
+# pattern; the matching question dualizes to a minimum vertex cover in
+# which each cube class is either taken whole or pays for all corner
 # nodes it reaches.  Both routes therefore vectorize over the axis of
 # count combinations.  The per-call oracles above stay the ground truth;
 # scans are expected to anchor bulk results against them on samples.
@@ -365,8 +343,8 @@ def bulk_target_verdicts(
     """Evaluate both oracles for many count vectors on a common support.
 
     ``counts`` is a combinations x support matrix of positive cube
-    counts; zero is not allowed because the fixed component structure of
-    the tree route assumes every support cell is present.  The cover
+    counts; zero is not allowed because the tree route's capped patterns
+    range over {1, 2} for every support cell.  The cover
     enumeration is exponential in the support size, so this is meant for
     supports of a handful of cells.
     """
@@ -403,32 +381,19 @@ def bulk_target_verdicts(
                     compat.append((pos, pair[0], pair[1]))
         own = arr[:, own_pos] if own_pos is not None else zeros
 
-        # tree route: components are fixed, a component with node count s
-        # is a tree exactly when its edge multiplicities sum to s - 1
-        parent = list(range(8))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _, a, b in compat:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        comp_size: dict[int, int] = {}
-        for v in range(8):
-            r = find(v)
-            comp_size[r] = comp_size.get(r, 0) + 1
-        edge_cols: dict[int, list[int]] = {}
-        for pos, a, b in compat:
-            edge_cols.setdefault(find(a), []).append(pos)
-        isolated = sum(1 for r in comp_size if r not in edge_cols)
-        tree_comps = np.full(m, isolated, dtype=np.int64)
-        for root, cols in edge_cols.items():
-            tree_comps += arr[:, cols].sum(axis=1) == comp_size[root] - 1
-        tree[:, t] = own >= tree_comps
+        # tree route: a tree component has every edge multiplicity 1, so
+        # capping each compatible count at 2 keeps every tree count; one
+        # kernel call per pattern in {1,2}^compatible covers all rows
+        pattern = np.zeros(m, dtype=np.int64)
+        for bit, (pos, _, _) in enumerate(compat):
+            pattern |= (caps[:, pos] - 1) << bit
+        tree_comps = np.empty(1 << len(compat), dtype=np.int64)
+        vec = [0] * len(CELLS)
+        for p in range(len(tree_comps)):
+            for bit, (pos, _, _) in enumerate(compat):
+                vec[sup_idx[pos]] = 1 + (p >> bit & 1)
+            tree_comps[p] = treecount_from_vector(vec, t, cat)
+        tree[:, t] = own >= tree_comps[pattern]
 
         # matching route: minimum vertex cover picks a subset of cube
         # classes whole and buys every corner node the rest can reach;

@@ -18,6 +18,8 @@ import math
 import random
 import time
 from collections.abc import Callable, Iterable, Mapping
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -376,6 +378,38 @@ def _census_chunk(
     return hist, best
 
 
+def _census_tally(
+    chunks: list[list[tuple[tuple[int, ...], int]]],
+    chunk_map: Callable,
+    progress: Callable[[int, int], None] | None,
+) -> tuple[dict[int, list[int]], tuple[int, tuple[int, ...]] | None]:
+    """Merged ``_census_chunk`` results over all chunks.
+
+    ``chunk_map`` is builtin ``map`` or a process pool's ``map``; both
+    yield in chunk order, so the merge is the same either way.
+    ``progress(done, total)`` is called once per finished chunk.
+    """
+    total = sum(len(c) for c in chunks)
+    done = 0
+    hist: dict[int, list[int]] = {}
+    best: tuple[int, tuple[int, ...]] | None = None
+    for chunk, (part_hist, part_best) in zip(chunks, chunk_map(_census_chunk, chunks)):
+        for n, (orbits, raw) in part_hist.items():
+            row = hist.setdefault(n, [0, 0])
+            row[0] += orbits
+            row[1] += raw
+        if part_best is not None and (
+            best is None
+            or part_best[0] > best[0]
+            or (part_best[0] == best[0] and part_best[1] < best[1])
+        ):
+            best = part_best
+        done += len(chunk)
+        if progress:
+            progress(done, total)
+    return hist, best
+
+
 def octet_census(
     cat: Catalog | None = None,
     jobs: int = 1,
@@ -395,37 +429,13 @@ def octet_census(
     start = time.monotonic()
     reps = list(orbit_vectors(8, cat))
 
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = max(1, len(reps) // (jobs * 4))
-        chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
-        hist: dict[int, list[int]] = {}
-        best: tuple[int, tuple[int, ...]] | None = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part_hist, part_best in pool.map(_census_chunk, chunks):
-                for n, (orbits, raw) in part_hist.items():
-                    row = hist.setdefault(n, [0, 0])
-                    row[0] += orbits
-                    row[1] += raw
-                if part_best is not None and (
-                    best is None
-                    or part_best[0] > best[0]
-                    or (part_best[0] == best[0] and part_best[1] < best[1])
-                ):
-                    best = part_best
-    else:
-        hist = {}
-        best = None
-        for done, (vec, orbit) in enumerate(reps):
-            n = _count_solutions(vec, cat)
-            row = hist.setdefault(n, [0, 0])
-            row[0] += 1
-            row[1] += orbit
-            if best is None or n > best[0] or (n == best[0] and vec < best[1]):
-                best = (n, vec)
-            if progress and done % 2000 == 0:
-                progress(done, len(reps))
+    step = max(1, len(reps) // (jobs * 4))
+    chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
+    with ExitStack() as stack:
+        chunk_map = map
+        if jobs > 1:
+            chunk_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        hist, best = _census_tally(chunks, chunk_map, progress)
 
     orbit_total = sum(r[0] for r in hist.values())
     raw_total = sum(r[1] for r in hist.values())

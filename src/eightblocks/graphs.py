@@ -3,6 +3,10 @@
 Kept free of puzzle vocabulary on purpose: the bipartite side works on
 integer-labelled nodes and the multigraph side on (node, node, multiplicity)
 edges, so both can be exercised independently of the cube layer.
+
+``tree_component_count`` is the one implementation of the tree
+criterion: the per-call, vector and bulk tree oracles and the table
+construction's layout check all reach it.
 """
 
 from __future__ import annotations
@@ -88,33 +92,21 @@ def tree_component_count(
 
     edges holds (a, b, multiplicity) entries; a component is a tree when its
     edge count including multiplicity equals its node count minus one.  An
-    isolated node counts as a tree.
+    isolated node counts as a tree.  Components are merged as node bitmasks
+    carrying their edge totals.
     """
-    parent = list(range(node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    components: dict[int, int] = {}  # node mask -> edge multiplicity inside
     for a, b, mult in edges:
         if mult <= 0:
             continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    nodes_in = [0] * node_count
-    edges_in = [0] * node_count
-    for x in range(node_count):
-        nodes_in[find(x)] += 1
-    for a, b, mult in edges:
-        if mult > 0:
-            edges_in[find(a)] += mult
-
-    trees = 0
-    for root in range(node_count):
-        if nodes_in[root] and edges_in[root] == nodes_in[root] - 1:
-            trees += 1
+        mask = 1 << a | 1 << b
+        for other in tuple(components):
+            if other & mask:
+                mask |= other
+                mult += components.pop(other)
+        components[mask] = mult
+    trees = node_count
+    for mask, mult in components.items():
+        size = mask.bit_count()
+        trees += (mult == size - 1) - size
     return trees

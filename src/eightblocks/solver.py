@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -564,28 +565,48 @@ def _subproblem_tasks(
     ]
 
 
-def _worker_decision(args) -> tuple[str, tuple[int, ...] | None, Counter]:
-    model, options = args
-    return _decision_once(model, options, catalog())
+def _run_subproblems(
+    model: Model, options: SearchOptions, cat: Catalog, run: Callable
+) -> tuple[list, bool]:
+    """Results of ``run(model, options, cat)`` over the model's subproblems,
+    and whether every subproblem was run.
+
+    One job runs the model itself in-process, so node counts match a
+    plain search.  More jobs split it on its first free cell and map the
+    subproblems over a process pool, dealing out the node budget with
+    ``_subproblem_tasks``.
+    """
+    if options.jobs == 1:
+        return [run(model, options, cat)], True
+    subs = split_subproblems(model, depth=1)
+    tasks = [(run, m, opts) for m, opts in _subproblem_tasks(subs, options)]
+    with ProcessPoolExecutor(max_workers=options.jobs) as pool:
+        results = list(pool.map(_run_in_worker, tasks))
+    return results, len(tasks) == len(subs)
 
 
-def _parallel_decision(
+def _run_in_worker(task):
+    run, model, options = task
+    return run(model, options, catalog())
+
+
+def _decide(
     model: Model, options: SearchOptions, cat: Catalog
 ) -> tuple[str, tuple[int, ...] | None, Counter]:
-    subs = split_subproblems(model, depth=1)
-    if len(subs) <= 1:
-        return _decision_once(model, options, cat)
-    tasks = _subproblem_tasks(subs, options)
+    results, all_run = _run_subproblems(model, options, cat, _decision_once)
     stats: Counter = Counter()
-    status_all = "unsat" if len(tasks) == len(subs) else "timeout"
+    status_all = "unsat" if all_run else "timeout"
     witness = None
-    with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-        for status, vec, st in pool.map(_worker_decision, tasks):
-            stats.update(st)
-            if status == "sat" and status_all != "sat":
-                status_all, witness = "sat", vec
-            elif status == "timeout" and status_all == "unsat":
-                status_all = "timeout"
+    for status, vec, st in results:
+        stats.update(st)
+        if status == "sat" and status_all != "sat":
+            status_all, witness = "sat", vec
+        elif status == "timeout" and status_all == "unsat":
+            status_all = "timeout"
+    if witness is not None:
+        # restricted subproblems carry smaller admissible groups, so
+        # their canonical forms must be re-reduced under the parent's
+        witness = _Compiled(model, options, cat).canonical_witness(witness)
     return status_all, witness, stats
 
 
@@ -616,9 +637,7 @@ def solve(
         )
 
     if model.objective is None:
-        runner = _parallel_decision if options.jobs > 1 else _decision_once
-        status, vec, stats = runner(model, options, cat)
-        return finish(status, vec, stats)
+        return finish(*_decide(model, options, cat))
 
     if model.objective not in ("minimize-total", "maximize-total"):
         raise InvalidInputError(f"unknown objective {model.objective!r}")
@@ -643,8 +662,7 @@ def solve(
             objective=None,
         )
         opts = _remaining_options(options, total_stats.get("nodes", 0), start)
-        runner = _parallel_decision if options.jobs > 1 else _decision_once
-        status, vec, stats = runner(level, opts, cat)
+        status, vec, stats = _decide(level, opts, cat)
         total_stats.update(stats)
         if status == "sat":
             got = sum(vec)
@@ -661,39 +679,19 @@ def enumerate_all(
     """All solutions up to the admissible symmetries, plus a completeness flag."""
     options = options or SearchOptions()
     cat = cat or catalog()
-    if options.jobs > 1:
-        subs = split_subproblems(model, depth=1)
-        tasks = _subproblem_tasks(subs, options)
-        collected: set[tuple[int, ...]] = set()
-        complete = len(tasks) == len(subs)
-        # restricted subproblems carry smaller admissible groups, so
-        # their canonical forms must be re-reduced under the parent's
-        parent = _Compiled(model, options, cat)
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            for comp_flag, vecs in pool.map(_worker_enumerate, tasks):
-                complete = complete and comp_flag
-                collected.update(parent.canonical_witness(v) for v in vecs)
-        vec_list = sorted(collected)
-    else:
-        comp = _Compiled(model, options, cat)
-        s = _Search(comp, options)
-        complete, vec_list = s.run_enumerate()
+    results, complete = _run_subproblems(model, options, cat, _enumerate_once)
+    parent = _Compiled(model, options, cat)
     out = []
-    seen: set[tuple[int, ...]] = set()
-    for vec in vec_list:
-        if vec not in seen:
-            seen.add(vec)
-            inst = Instance.from_vector(vec)
-            res = check_assignment(model, inst)
-            if not res.ok:
-                raise AssertionError("enumeration produced a bad witness")
-            out.append(inst)
-    return out, complete
+    found = {parent.canonical_witness(v) for _, vecs in results for v in vecs}
+    for vec in sorted(found):
+        inst = Instance.from_vector(vec)
+        if not check_assignment(model, inst).ok:
+            raise AssertionError("enumeration produced a bad witness")
+        out.append(inst)
+    return out, complete and all(flag for flag, _ in results)
 
 
-def _worker_enumerate(args) -> tuple[bool, list[tuple[int, ...]]]:
-    model, options = args
-    comp = _Compiled(model, options, catalog())
-    s = _Search(comp, options)
-    complete, vecs = s.run_enumerate()
-    return complete, [comp.canonical_witness(v) for v in vecs]
+def _enumerate_once(
+    model: Model, options: SearchOptions, cat: Catalog
+) -> tuple[bool, list[tuple[int, ...]]]:
+    return _Search(_Compiled(model, options, cat), options).run_enumerate()

@@ -294,13 +294,6 @@ def orbit_vectors(
                 yield tuple(vec), group_order // fixed
 
 
-def orbit_representatives(
-    size: int, cat: Catalog | None = None, cap: int | None = None
-) -> Iterator[tuple[Instance, int]]:
-    for vec, osize in orbit_vectors(size, cat, cap):
-        yield Instance.from_vector(vec), osize
-
-
 def count_orbits(size: int, cat: Catalog | None = None) -> int:
     """Orbit count of size-`size` multisets by averaging fixed points."""
     cat = cat or catalog()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eightblocks import composability as co
 from eightblocks.errors import CertificateError, InvalidInputError
@@ -176,3 +178,37 @@ def test_bulk_verdicts_input_validation(cat):
         co.bulk_target_verdicts([(1, 2)], [[0]], cat)
     with pytest.raises(InvalidInputError):
         co.bulk_target_verdicts([(1, 2)], [[1, 2]], cat)
+
+
+@st.composite
+def _count_rows(draw, max_cells, max_count, max_rows):
+    """A support of distinct cells and some rows of positive counts on it."""
+    support = draw(
+        st.lists(st.sampled_from(CELLS), min_size=1, max_size=max_cells, unique=True)
+    )
+    k = len(support)
+    row = st.lists(st.integers(1, max_count), min_size=k, max_size=k)
+    return support, draw(st.lists(row, min_size=1, max_size=max_rows))
+
+
+@given(_count_rows(6, 200, 1), st.sampled_from(CELLS))
+def test_tree_oracle_matches_matching_at_any_count(cat, drawn, target):
+    support, (counts,) = drawn
+    inst = Instance.from_pairs(zip(support, counts))
+    assert co.is_composable_treecount(inst, target, cat) == co.is_composable_matching(
+        inst, target, cat
+    )
+
+
+@given(_count_rows(4, 50, 6))
+def test_bulk_tree_verdicts_match_per_call_oracle(cat, drawn):
+    # counts up to 50 reach far past the tree route's cap of 2
+    support, rows = drawn
+    bulk = co.bulk_target_verdicts(support, rows, cat)
+    for r, counts in enumerate(rows):
+        inst = Instance.from_pairs(zip(support, counts))
+        for t, cell in enumerate(CELLS):
+            assert bool(bulk.tree[r, t]) == co.is_composable_treecount(inst, cell, cat)
+            assert bool(bulk.matching[r, t]) == co.is_composable_matching(
+                inst, cell, cat
+            )

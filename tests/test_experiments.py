@@ -1,6 +1,7 @@
 """Packaged experiment drivers: reference checks, sweeps, checkpointing."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -9,6 +10,7 @@ from eightblocks.errors import ExperimentError, InvalidInputError
 from eightblocks.experiments import (
     NINE_CUBE_DEMO,
     _census_chunk,
+    _census_tally,
     _verify_generates_exactly,
     census_csv,
     checkpointed_solve,
@@ -100,6 +102,18 @@ def test_census_chunk_matches_direct_count(cat):
     assert sum(o for o, _ in hist.values()) == len(reps)
     assert sum(r for _, r in hist.values()) == sum(o for _, o in reps)
     assert best is not None
+
+
+def test_census_tally_of_halves_matches_the_whole(cat):
+    reps = list(orbit_vectors(4, cat))
+    half = len(reps) // 2
+    calls = []
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        merged = _census_tally(
+            [reps[:half], reps[half:]], pool.map, lambda *a: calls.append(a)
+        )
+    assert merged == _census_chunk(reps)
+    assert calls == [(half, len(reps)), (len(reps), len(reps))]
 
 
 def test_census_csv_layout():

@@ -1,3 +1,6 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
 from eightblocks.graphs import (
     deficient_right_set,
     maximum_bipartite_matching,
@@ -58,3 +61,43 @@ def test_tree_components_mixed():
     edges = [(0, 1, 1), (2, 3, 2), (4, 5, 1), (5, 6, 1)]
     # components: {0,1} tree, {2,3} cycle, {4,5,6} tree, {7} isolated
     assert tree_component_count(8, edges) == 3
+
+
+def _tree_count_bfs(node_count, edges):
+    """Reference: breadth-first components, then count edges per component."""
+    live = [(a, b, mult) for a, b, mult in edges if mult > 0]
+    neighbours = {v: set() for v in range(node_count)}
+    for a, b, _ in live:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen = set()
+    trees = 0
+    for start in range(node_count):
+        if start in seen:
+            continue
+        component = {start}
+        frontier = [start]
+        while frontier:
+            frontier = [
+                w for v in frontier for w in neighbours[v] if w not in component
+            ]
+            component.update(frontier)
+        seen |= component
+        inside = sum(mult for a, _, mult in live if a in component)
+        trees += inside == len(component) - 1
+    return trees
+
+
+@st.composite
+def _multigraphs(draw):
+    n = draw(st.integers(1, 9))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.integers(0, 3)), max_size=14))
+    return n, edges
+
+
+@given(_multigraphs())
+def test_tree_components_match_bfs_reference(graph):
+    # covers self-loops, zero multiplicities and repeated node pairs
+    n, edges = graph
+    assert tree_component_count(n, edges) == _tree_count_bfs(n, edges)

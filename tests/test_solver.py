@@ -15,6 +15,7 @@ from eightblocks.model import (
 )
 from eightblocks.solver import (
     SearchOptions,
+    _Compiled,
     admissible_symmetries,
     enumerate_all,
     solve,
@@ -127,6 +128,10 @@ def test_parallel_jobs_same_answers(cat):
     par = solve(m, SearchOptions(jobs=2), cat=cat)
     assert seq.status == par.status == "sat"
     assert solution_set(par.witness, cat) == {(2, 5)}
+    # the split may find a different solution, but it is reported in
+    # the parent model's canonical form, as a serial witness is
+    vec = par.witness.vector()
+    assert _Compiled(m, SearchOptions(), cat).canonical_witness(vec) == vec
     m2 = _uniform_model("all-pairs", 1, [LinearConstraint("total", "eq", CELLS, 2)])
     f1, c1 = enumerate_all(m2, SearchOptions(jobs=1), cat=cat)
     f2, c2 = enumerate_all(m2, SearchOptions(jobs=2), cat=cat)
