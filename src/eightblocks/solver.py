@@ -30,7 +30,14 @@ from .composability import composable_from_vector
 from .errors import InvalidInputError
 from .instances import Instance
 from .model import LinearConstraint, Model, cap_bounds, check_assignment
-from .symmetry import Symmetry, cell_perms, group, permuted_vector
+from .symmetry import (
+    Symmetry,
+    cell_perms,
+    group,
+    group_index,
+    inverse_cell_perms,
+    permuted_vector,
+)
 from .varieties import CELLS, CELL_INDEX, Catalog, catalog
 
 N_CELLS = len(CELLS)
@@ -151,23 +158,18 @@ class _Compiled:
             for k in self.usable[t]:
                 self.forb_of_cell[k].append(slot)
 
-        if not options.symmetry:
-            self.perms: list[tuple[int, ...]] = []
-        else:
-            allowed = set(admissible_symmetries(model, cat))
-            self.perms = [
-                p for s, p in zip(group(cat), cell_perms(cat)) if s in allowed
-            ]
+        positions = (
+            [group_index(cat)[s] for s in admissible_symmetries(model, cat)]
+            if options.symmetry
+            else []
+        )
+        self.perms = [cell_perms(cat)[i] for i in positions]
         # dominance comparison needs inverses; drop the identity
-        inv = []
-        for p in self.perms:
-            q = [0] * N_CELLS
-            for i, t in enumerate(p):
-                q[t] = i
-            q = tuple(q)
-            if q != tuple(range(N_CELLS)):
-                inv.append(q)
-        self.inv_perms = inv
+        identity = tuple(range(N_CELLS))
+        inverses = inverse_cell_perms(cat)
+        self.inv_perms = [
+            inverses[i] for i in positions if inverses[i] != identity
+        ]
 
     def canonical_witness(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         if not self.perms:

@@ -1,6 +1,11 @@
+import hashlib
 import math
 import random
+from collections import Counter
 from itertools import combinations
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eightblocks import composability as co
 from eightblocks import symmetry as sym
@@ -24,7 +29,7 @@ def test_symmetry_composition_matches_cell_action(cat):
     for _ in range(40):
         a, b = rng.randrange(1440), rng.randrange(1440)
         composed = g[a].compose(g[b])
-        idx = g.index(composed)
+        idx = sym.group_index(cat)[composed]
         pa, pb, pc = perms[a], perms[b], perms[idx]
         assert all(pc[k] == pa[pb[k]] for k in range(30))
 
@@ -108,6 +113,113 @@ def test_canonical_supports_cover_all_small_subsets(cat):
     # single-cell orbit plus the four pair types: swap, rotation,
     # mirror pair, same line
     assert len(listed) == 5
+
+
+def _dfs_canonical_supports(max_size, cat):
+    """Reference enumeration: depth first over cells with incremental
+    prefix-dominance tests against every group element; a branch dies as
+    soon as some image is provably lexicographically smaller."""
+    inv = sym.inverse_cell_perms(cat)
+    n = len(CELLS)
+    x = [None] * n
+    chosen = []
+    out = []
+
+    def advance(pi, ptr):
+        # compare x against its pi-image from position ptr on; returns
+        # (new ptr, verdict): -1 prune, +1 image larger (drop perm), 0 open
+        while ptr < n:
+            a = x[ptr]
+            b = x[pi[ptr]]
+            if a is None or b is None:
+                return ptr, 0
+            if b < a:
+                return ptr, -1
+            if b > a:
+                return ptr, 1
+            ptr += 1
+        return ptr, 0
+
+    def rec(k, live):
+        if k == n:
+            if chosen:
+                out.append(tuple(chosen))
+            return
+        for val in (0, 1):
+            if val and len(chosen) >= max_size:
+                continue
+            x[k] = val
+            if val:
+                chosen.append(k)
+            keep = []
+            dead = False
+            for pi, ptr in live:
+                nptr, verdict = advance(pi, ptr)
+                if verdict == -1:
+                    dead = True
+                    break
+                if verdict == 0:
+                    keep.append((pi, nptr))
+            if not dead:
+                rec(k + 1, keep)
+            if val:
+                chosen.pop()
+            x[k] = None
+
+    rec(0, [(pi, 0) for pi in inv])
+    return out
+
+
+def test_canonical_supports_match_the_dfs_reference(cat):
+    for max_size in (1, 2, 3, 4):
+        assert sym.canonical_supports(max_size, cat) == _dfs_canonical_supports(
+            max_size, cat
+        )
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_cell_perm_tables_pinned(cat):
+    assert _digest(sym.cell_perms(cat)) == (
+        "58b8a90f5a0c90b700a664dbeb4b9a9203a189c5f361c11d7fd5fd5a8ce66315"
+    )
+    assert _digest(sym.inverse_cell_perms(cat)) == (
+        "4bc4a5c0ab088a65fb4133bfb39ad65261dcff357640a6e4984b242fd874bcb9"
+    )
+
+
+def test_octet_supports_and_orbits_pinned(cat):
+    supports = sym.canonical_supports(8, cat)
+    sizes = Counter(len(s) for s in supports)
+    assert sizes == {1: 1, 2: 4, 3: 12, 4: 48, 5: 165, 6: 567, 7: 1703, 8: 4623}
+    assert len(supports) == 7123
+    assert _digest(supports) == (
+        "38948ac4f82c2dd298a7df28be5cf2a642a0d92bd150fb8bf423386f16616fcf"
+    )
+    assert _digest(list(sym.orbit_vectors(8, cat))) == (
+        "de934b49b0478ae14e5ea9878b024173c361feafb0e37f6caf575c8664bc8800"
+    )
+
+
+@given(st.dictionaries(st.integers(0, len(CELLS) - 1), st.integers(1, 3), max_size=8))
+def test_lane_images_match_the_naive_images(cat, counts):
+    perms = sym.cell_perms(cat)
+    cells = sorted(counts)
+    images = [frozenset(p[k] for k in cells) for p in perms]
+    # the least lane is the lex-least 0/1 vector among the images
+    least = sym._least_lane(sym._set_images(cells, cat))
+    assert tuple(least >> (len(CELLS) - 1 - k) & 1 for k in range(len(CELLS))) == min(
+        tuple(int(k in image) for k in range(len(CELLS))) for image in images
+    )
+    wanted = frozenset(cells)
+    assert sym._stabilizer_indices(cells, cat) == [
+        i for i, image in enumerate(images) if image == wanted
+    ]
+    vec = tuple(counts.get(k, 0) for k in range(len(CELLS)))
+    fixed = sum(1 for p in perms if sym.permuted_vector(vec, p) == vec)
+    assert sym.orbit_size(Instance.from_vector(vec), cat) == len(perms) // fixed
 
 
 def test_orbit_vectors_partition_the_multisets(cat):
