@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import experiments
 from .composability import (
-    classify,
+    classify_solutions,
     extract_arrangement,
     hall_witness,
     solution_set,
@@ -192,7 +192,7 @@ def _cmd_check(args) -> int:
         raise EightBlocksError("internal: oracle disagreement on this instance")
     records = [
         ("size", instance.size),
-        ("classification", classify(instance, cat)),
+        ("classification", classify_solutions(solutions)),
         ("solution_count", len(solutions)),
         ("solution_set", [list(c) for c in solutions]),
     ]

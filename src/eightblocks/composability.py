@@ -17,13 +17,20 @@ tree route has one kernel, ``graphs.tree_component_count``, and one
 multigraph builder, ``treecount_from_vector``.  The bulk scan calls the
 builder once per capped count pattern (each compatible count capped at
 two, which cannot change a tree count), not once per count vector.
+
+Capped counts give the same verdicts as raw ones.  A perfect matching
+uses at most ``OWN_CAP`` cubes of the target and ``COMPATIBLE_CAP`` of
+each compatible cell, so the matching graph lists no more copies than
+that, and a target whose capped supply falls short of eight corners is
+not composable; ``composable_targets`` runs the tree route only on the
+targets that pass this screen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Collection, Iterator, Sequence
 
 from . import cubes
 from .cubes import Coloring, Triple
@@ -34,7 +41,7 @@ from .graphs import (
     tree_component_count as _tree_count_raw,
 )
 from .instances import Instance
-from .varieties import CELLS, CELL_INDEX, Catalog, catalog
+from .varieties import CELLS, CELL_INDEX, COMPATIBLE_CAP, OWN_CAP, Catalog, catalog
 
 
 def _cell_index(target: tuple[int, int]) -> int:
@@ -69,7 +76,14 @@ def bipartite_adjacency(
 
     Cubes of the target variety reach all eight nodes, compatible cubes
     reach exactly their two shared nodes, everything else is left out.
-    Cube order follows the cell order, copies numbered from zero.
+    Cube order follows the cell order, copies numbered from zero.  Only
+    the first ``OWN_CAP`` copies of the target and ``COMPATIBLE_CAP`` of
+    each compatible cell are listed, so the graph has at most 48 cubes
+    whatever the counts.  The matching is unchanged: twin copies come one
+    after another, and a copy past its cap can never augment (its cell's
+    nodes are all held by earlier twins, or an earlier twin already
+    failed), so it stays unmatched and reaches nothing in the deficiency
+    search either.
     """
     cat = cat or catalog()
     t = _cell_index(target)
@@ -81,12 +95,14 @@ def bipartite_adjacency(
             continue
         if k == t:
             nbrs = list(range(8))
+            cap = OWN_CAP
         else:
             pair = cat.shared_pairs[t][k]
             if pair is None:
                 continue
             nbrs = list(pair)
-        for copy in range(n):
+            cap = COMPATIBLE_CAP
+        for copy in range(min(n, cap)):
             cubes_out.append((CELLS[k], copy))
             adjacency.append(nbrs)
     return cubes_out, adjacency
@@ -241,6 +257,25 @@ def composable_from_vector(
     return vec[target_index] >= treecount_from_vector(vec, target_index, cat)
 
 
+def composable_targets(vec: Sequence[int], cat: Catalog) -> Iterator[int]:
+    """Indices of the targets the count vector composes, in cell order.
+
+    Each target's capped supply (own count capped at ``OWN_CAP``, each
+    compatible count at ``COMPATIBLE_CAP``) is summed first; a target
+    whose supply falls short of eight cannot be matched, so the tree
+    route runs only on the others.  The verdicts are those of
+    ``composable_from_vector``.
+    """
+    supply = [0] * len(CELLS)
+    for k, n in enumerate(vec):
+        if n:
+            for t, cap in cat.supply_caps[k]:
+                supply[t] += n if n < cap else cap
+    for t, s in enumerate(supply):
+        if s >= 8 and composable_from_vector(vec, t, cat):
+            yield t
+
+
 # ----------------------------------------------------------------------
 # count-based sufficient bound
 
@@ -259,7 +294,8 @@ def count_bound(
     t = _cell_index(target)
     vec = instance.vector()
     return vec[t] + max(
-        sum(min(vec[k], 2) for k in cells) for _, _, cells in cat.supply_lines[t]
+        sum(min(vec[k], COMPATIBLE_CAP) for k in cells)
+        for _, _, cells in cat.supply_lines[t]
     )
 
 
@@ -281,15 +317,19 @@ def solution_set(
     return frozenset(c for c in CELLS if test(instance, c, cat))
 
 
+def classify_solutions(solutions: Collection[tuple[int, int]]) -> str:
+    """Class of an instance with the given solution set."""
+    if not solutions:
+        return "infeasible"
+    if len(solutions) == len(CELLS):
+        return "universal"
+    return "other"
+
+
 def classify(
     instance: Instance, cat: Catalog | None = None, oracle: str = "matching"
 ) -> str:
-    s = solution_set(instance, cat, oracle)
-    if not s:
-        return "infeasible"
-    if len(s) == len(CELLS):
-        return "universal"
-    return "other"
+    return classify_solutions(solution_set(instance, cat, oracle))
 
 
 def universal_lower_bound(cat: Catalog | None = None) -> int:
@@ -522,7 +562,7 @@ def verify_arrangement(
             raise CertificateError(f"corner {p.corner} used twice")
         corners_seen.add(p.corner)
         coloring = cubes.validate_coloring(p.coloring)
-        if cubes.canonical_coloring(coloring) != cat.variety(*p.source).coloring:
+        if cat.cell_of_coloring[coloring] != cat.variety(*p.source).index:
             raise CertificateError(
                 f"placement at {p.corner} is not an orientation of variety {p.source}"
             )

@@ -26,6 +26,7 @@ from pathlib import Path
 from .composability import (
     bulk_target_verdicts,
     composable_from_vector,
+    composable_targets,
     count_bound,
     extract_arrangement,
     hall_witness,
@@ -356,12 +357,6 @@ class CensusReport:
     wall_time: float
 
 
-def _count_solutions(vec: tuple[int, ...], cat: Catalog) -> int:
-    return sum(
-        1 for t in range(len(CELLS)) if composable_from_vector(vec, t, cat)
-    )
-
-
 def _census_chunk(
     chunk: list[tuple[tuple[int, ...], int]]
 ) -> tuple[dict[int, list[int]], tuple[int, tuple[int, ...]] | None]:
@@ -369,7 +364,7 @@ def _census_chunk(
     hist: dict[int, list[int]] = {}
     best: tuple[int, tuple[int, ...]] | None = None
     for vec, orbit in chunk:
-        n = _count_solutions(vec, cat)
+        n = sum(1 for _ in composable_targets(vec, cat))
         row = hist.setdefault(n, [0, 0])
         row[0] += 1
         row[1] += orbit
@@ -496,13 +491,12 @@ def row_restricted_max_infeasible(
     cells = [(row, j) for j in range(1, 7) if j != row]
     idx = [CELL_INDEX[c] for c in cells]
     vec = [0] * len(CELLS)
-    targets = range(len(CELLS))
     best = -1
     winners: list[tuple[int, ...]] = []
     for counts in itertools.product(range(8), repeat=len(cells)):
         for k, n in zip(idx, counts):
             vec[k] = n
-        if any(composable_from_vector(vec, t, cat) for t in targets):
+        if next(composable_targets(vec, cat), None) is not None:
             continue
         total = sum(counts)
         if total > best:

@@ -95,11 +95,16 @@ class Instance:
     # text formats
 
     def to_text(self, style: str = "dense") -> str:
+        """Text that ``parse_instance`` reads back to this instance.
+
+        The sparse style writes the empty instance as one zero entry,
+        because text without data lines does not parse.
+        """
         if style == "dense":
             return "\n".join(" ".join(str(n) for n in row) for row in self.counts) + "\n"
         if style == "sparse":
-            lines = [f"{i} {j} {n}" for (i, j), n in self.items()]
-            return "\n".join(lines) + ("\n" if lines else "")
+            lines = [f"{i} {j} {n}" for (i, j), n in self.items()] or ["1 2 0"]
+            return "\n".join(lines) + "\n"
         raise InstanceFormatError(f"unknown instance style {style!r}")
 
     def __str__(self) -> str:

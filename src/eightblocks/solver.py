@@ -38,7 +38,7 @@ from .symmetry import (
     inverse_cell_perms,
     permuted_vector,
 )
-from .varieties import CELLS, CELL_INDEX, Catalog, catalog
+from .varieties import CELLS, CELL_INDEX, COMPATIBLE_CAP, OWN_CAP, Catalog, catalog
 
 N_CELLS = len(CELLS)
 
@@ -260,11 +260,12 @@ class _Search:
 
     def _capped_supply(self, vec: list[int], t: int) -> int:
         s = vec[t]
-        if s > 8:
-            s = 8
+        if s > OWN_CAP:
+            s = OWN_CAP
+        cap = COMPATIBLE_CAP
         for k in self.c.usable[t][1:]:
             n = vec[k]
-            s += n if n < 2 else 2
+            s += n if n < cap else cap
         return s
 
     def _propagate(self) -> bool:

@@ -91,13 +91,7 @@ def cell_perms(cat: Catalog | None = None) -> tuple[tuple[int, ...], ...]:
     """
     cat = cat or catalog()
     mirror_cell = tuple(cat.mirror(v).index for v in cat.varieties)
-    # the 720 face colorings are exactly the 24 rotations of each of the
-    # 30 catalog colorings, so one dict replaces canonicalizing each
-    cell_of = {
-        rotated: v.index
-        for v in cat.varieties
-        for rotated in cubes.rotations_of(v.coloring)
-    }
+    cell_of = cat.cell_of_coloring
     out = []
     for perm in itertools.permutations(cubes.COLORS):
         table = dict(zip(cubes.COLORS, perm))

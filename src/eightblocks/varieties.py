@@ -28,6 +28,18 @@ CELLS: tuple[tuple[int, int], ...] = tuple(
 )
 CELL_INDEX = {c: k for k, c in enumerate(CELLS)}
 
+#: Most cubes of the target's own variety that a perfect matching of a
+#: target's eight corner triples can use: there are eight corners.
+OWN_CAP = 8
+
+#: Most cubes of one compatible variety that a perfect matching can use.
+#: Every copy of a compatible variety shows the same two of the target's
+#: corner triples and no other, so at most two copies are ever matched.
+#: With OWN_CAP this makes capping counts exact for every composability
+#: question: a capped count vector composes a target exactly when the
+#: raw one does.
+COMPATIBLE_CAP = 2
+
 #: Corner-triple set pinned to table cell (1, 2).  This constant fixes
 #: which member of a chiral pair is called (1, 2); every other cell is
 #: derived from it.
@@ -74,7 +86,7 @@ class Catalog:
     """Immutable bundle of the 30 varieties plus precomputed incidence data."""
 
     def __init__(self) -> None:
-        reps, triples, share, mirror_of = _enumerate_classes()
+        reps, class_of, triples, share, mirror_of = _enumerate_classes()
         self._class_colorings = reps
         self._class_triples = triples
         layout = _build_table(reps, triples, share, mirror_of)
@@ -89,7 +101,12 @@ class Catalog:
             for k, cell in enumerate(CELLS)
         )
         self._by_coords = {v.coords: v for v in self.varieties}
-        self._by_coloring = {v.coloring: v for v in self.varieties}
+        # cell of each of the 720 face colorings: the 24 orientations of
+        # every variety, so a lookup replaces canonicalizing a coloring
+        cell_of_class = {layout[cell]: k for k, cell in enumerate(CELLS)}
+        self.cell_of_coloring: dict[Coloring, int] = {
+            c: cell_of_class[k] for c, k in class_of.items()
+        }
         self._by_triples = {v.triples: v for v in self.varieties}
 
         # cell-indexed incidence tables used by the oracles and the solver
@@ -126,6 +143,13 @@ class Catalog:
             )
             for t in range(n)
         )
+        # supply_caps[k]: (target, cap) for every target a cube of cell k
+        # can serve, its own cell first; the capped supply of a target
+        # sums min(count, cap) over the cells serving it
+        self.supply_caps: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            ((k, OWN_CAP),) + tuple((t, COMPATIBLE_CAP) for t in self.compatible_cells[k])
+            for k in range(n)
+        )
         self.triple_nodes: tuple[tuple[Triple, ...], ...] = tuple(
             tuple(sorted(v.triples)) for v in self.varieties
         )
@@ -160,8 +184,7 @@ class Catalog:
             raise InvalidInputError(f"no table cell ({i},{j})") from None
 
     def by_coloring(self, coloring) -> Variety:
-        canon = cubes.canonical_coloring(cubes.validate_coloring(coloring))
-        return self._by_coloring[canon]
+        return self.varieties[self.cell_of_coloring[cubes.validate_coloring(coloring)]]
 
     def by_triples(self, triples) -> Variety:
         try:
@@ -264,13 +287,16 @@ def catalog() -> Catalog:
 
 
 def _enumerate_classes():
-    """Rotation classes of the 720 colorings, sorted by canonical coloring."""
-    seen: dict[Coloring, None] = {}
-    for c in cubes.all_colorings():
-        seen.setdefault(cubes.canonical_coloring(c), None)
-    reps = tuple(sorted(seen))
+    """Rotation classes of the 720 colorings, sorted by canonical coloring.
+
+    Also returns the class index of every coloring.
+    """
+    canon = {c: cubes.canonical_coloring(c) for c in cubes.all_colorings()}
+    reps = tuple(sorted(set(canon.values())))
     if len(reps) != 30:
         raise TableConstructionError(f"expected 30 rotation classes, found {len(reps)}")
+    rep_index = {r: k for k, r in enumerate(reps)}
+    class_of = {c: rep_index[r] for c, r in canon.items()}
     triples = tuple(cubes.corner_triples(r) for r in reps)
     share = tuple(
         tuple(len(triples[a] & triples[b]) for b in range(30)) for a in range(30)
@@ -283,7 +309,7 @@ def _enumerate_classes():
     for k in range(30):
         if mirror_of[k] == k or mirror_of[mirror_of[k]] != k:
             raise TableConstructionError("mirror pairing is not a fixed-point-free involution")
-    return reps, triples, share, mirror_of
+    return reps, class_of, triples, share, mirror_of
 
 
 _UPPER_CELLS = tuple((i, j) for i in range(1, 7) for j in range(i + 1, 7))

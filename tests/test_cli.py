@@ -248,3 +248,22 @@ def test_parse_machine_report_errors():
         parse_machine_report("=5")
     assert parse_machine_report("") == {}
     assert parse_machine_report('a=1\n\nb="x"\n') == {"a": 1, "b": "x"}
+
+
+def test_check_output_does_not_depend_on_large_counts(tmp_path, capsys):
+    kept = {}
+    for n in (20, 2_000_000):
+        f = tmp_path / f"pair-{n}.txt"
+        f.write_text(f"1 2 {n}\n3 4 {n}\n")
+        assert main(["check", str(f), "--certificates", "--witnesses",
+                     "--machine"]) == 0
+        rec = parse_machine_report(capsys.readouterr().out)
+        assert rec["size"] == 2 * n
+        kept[n] = {
+            key: value["triples"] if key.startswith("blocked_") else value
+            for key, value in rec.items()
+            if key == "solution_set" or key.startswith(("arrangement_", "blocked_"))
+        }
+    assert kept[20] == kept[2_000_000]
+    assert any(key.startswith("arrangement_") for key in kept[20])
+    assert any(key.startswith("blocked_") for key in kept[20])

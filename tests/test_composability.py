@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eightblocks import composability as co
 from eightblocks.errors import CertificateError, InvalidInputError
+from eightblocks.graphs import deficient_right_set, maximum_bipartite_matching
 from eightblocks.instances import Instance
-from eightblocks.varieties import CELLS
+from eightblocks.symmetry import orbit_vectors
+from eightblocks.varieties import CELL_INDEX, CELLS, COMPATIBLE_CAP, OWN_CAP
 
 DEMO = Instance.from_pairs(
     {(1, 2): 2, (2, 6): 1, (3, 5): 1, (3, 6): 1, (5, 6): 2, (6, 4): 1, (6, 5): 1}
@@ -146,6 +149,21 @@ def test_verify_arrangement_catches_tampering(cat):
         co.verify_arrangement(DEMO, (1, 2), bad, cat)
 
 
+def test_verify_arrangement_checks_each_source(cat):
+    from dataclasses import replace
+
+    arr = co.extract_arrangement(DEMO, (1, 2), cat)
+    victim = next(p for p in arr.placements if p.source != (1, 2))
+    # the same coloring claimed as a cube of the target variety
+    relabelled = replace(victim, source=(1, 2))
+    bad = replace(
+        arr,
+        placements=tuple(relabelled if p is victim else p for p in arr.placements),
+    )
+    with pytest.raises(CertificateError, match="not an orientation"):
+        co.verify_arrangement(DEMO, (1, 2), bad, cat)
+
+
 def test_universal_lower_bound(cat):
     assert co.universal_lower_bound(cat) == 12
 
@@ -212,3 +230,79 @@ def test_bulk_tree_verdicts_match_per_call_oracle(cat, drawn):
             assert bool(bulk.matching[r, t]) == co.is_composable_matching(
                 inst, cell, cat
             )
+
+
+# counts that are mostly small, so targets fail as often as they pass,
+# with some far past both caps
+_COUNT = st.one_of(st.integers(0, 3), st.integers(0, 200))
+
+
+def _vector(counts):
+    vec = [0] * len(CELLS)
+    for k, n in counts.items():
+        vec[k] = n
+    return vec
+
+
+def _unscreened_targets(vec, cat):
+    return [t for t in range(len(CELLS)) if co.composable_from_vector(vec, t, cat)]
+
+
+@given(st.dictionaries(st.integers(0, len(CELLS) - 1), _COUNT, max_size=12))
+def test_supply_screen_keeps_every_verdict(cat, counts):
+    vec = _vector(counts)
+    assert list(co.composable_targets(vec, cat)) == _unscreened_targets(vec, cat)
+
+
+def test_supply_screen_on_census_orbits(cat):
+    for vec, _ in itertools.islice(orbit_vectors(8, cat), 0, None, 25):
+        assert list(co.composable_targets(vec, cat)) == _unscreened_targets(vec, cat)
+
+
+def _uncapped_adjacency(instance, target, cat):
+    """Matching graph with one cube node per copy, however many there are."""
+    t = CELL_INDEX[target]
+    cubes_out, adjacency = [], []
+    for k, n in enumerate(instance.vector()):
+        if k == t:
+            nbrs = list(range(8))
+        elif cat.shared_pairs[t][k] is not None:
+            nbrs = list(cat.shared_pairs[t][k])
+        else:
+            continue
+        for copy in range(n):
+            cubes_out.append((CELLS[k], copy))
+            adjacency.append(nbrs)
+    return cubes_out, adjacency
+
+
+@example(counts={(1, 2): 9}, target=(1, 2))
+@example(counts={(1, 3): 200, (6, 5): 1}, target=(6, 5))
+@given(
+    st.dictionaries(st.sampled_from(CELLS), _COUNT, min_size=1, max_size=10),
+    st.sampled_from(CELLS),
+)
+def test_capped_matching_graph_matches_uncapped_reference(cat, counts, target):
+    inst = Instance.from_pairs(counts)
+    t = CELL_INDEX[target]
+    capped = co.bipartite_adjacency(inst, target, cat)[1]
+    assert len(capped) <= OWN_CAP + COMPATIBLE_CAP * len(cat.compatible_cells[t])
+
+    cubes_out, adjacency = _uncapped_adjacency(inst, target, cat)
+    size, match_of_right = maximum_bipartite_matching(adjacency, 8)
+    report = co.max_matching(inst, target, cat)
+    assert report.size == size
+    assert report.matched == tuple(
+        cubes_out[u] if u != -1 else None for u in match_of_right
+    )
+
+    witness = co.hall_witness(inst, target, cat)
+    if size == 8:
+        assert witness is None
+    else:
+        nodes = cat.triple_nodes[t]
+        deficient = deficient_right_set(adjacency, 8, match_of_right)
+        assert witness.triples == frozenset(nodes[v] for v in deficient)
+        assert witness.usable_cubes == sum(
+            1 for nbrs in adjacency if any(v in deficient for v in nbrs)
+        )

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eightblocks.errors import InstanceFormatError
 from eightblocks.instances import Instance, parse_instance
+from eightblocks.varieties import CELLS
 
 
 def test_constructors_agree():
@@ -80,3 +83,13 @@ def test_parse_errors():
 def test_diagonal_error_keeps_cell_message():
     with pytest.raises(InstanceFormatError, match="table cell"):
         parse_instance("1 1 3\n")
+
+
+@example(counts={}, style="sparse")
+@given(
+    st.dictionaries(st.sampled_from(CELLS), st.integers(0, 10**6), max_size=len(CELLS)),
+    st.sampled_from(["dense", "sparse"]),
+)
+def test_text_round_trip(counts, style):
+    inst = Instance.from_pairs(counts)
+    assert parse_instance(inst.to_text(style)) == inst

@@ -5,6 +5,8 @@ from eightblocks.errors import InvalidInputError
 from eightblocks.varieties import (
     CELL_INDEX,
     CELLS,
+    COMPATIBLE_CAP,
+    OWN_CAP,
     catalog,
     parse_table_records,
 )
@@ -141,3 +143,23 @@ def test_variety_lookup_errors(cat):
         cat.variety(0, 2)
     with pytest.raises(InvalidInputError):
         cat.share_count(cat.variety(1, 2), cat.variety(1, 2))
+
+
+def test_orientation_table_covers_every_coloring(cat):
+    assert len(cat.cell_of_coloring) == 720
+    for coloring in cubes.all_colorings():
+        v = cat.varieties[cat.cell_of_coloring[coloring]]
+        assert v.coloring == cubes.canonical_coloring(coloring)
+        assert cat.by_coloring(coloring) is v
+    with pytest.raises(InvalidInputError):
+        cat.by_coloring(("p", "p", "r", "s", "t", "u"))
+
+
+def test_supply_caps_list_each_served_target(cat):
+    for k in range(len(CELLS)):
+        assert cat.supply_caps[k][0] == (k, OWN_CAP)
+        assert cat.supply_caps[k][1:] == tuple(
+            (t, COMPATIBLE_CAP) for t in cat.compatible_cells[k]
+        )
+        for t, _ in cat.supply_caps[k][1:]:
+            assert cat.shared_pairs[t][k] is not None
