@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
+from functools import cached_property
 
 from .errors import InstanceFormatError
 from .varieties import CELLS, CELL_INDEX
@@ -77,6 +78,11 @@ class Instance:
 
     def vector(self) -> tuple[int, ...]:
         """Counts flattened in canonical cell order."""
+        return self._vector
+
+    @cached_property
+    def _vector(self) -> tuple[int, ...]:
+        # frozen counts: flattened once per instance
         return tuple(self.counts[i - 1][j - 1] for i, j in CELLS)
 
     def support(self) -> tuple[tuple[int, int], ...]:

@@ -9,6 +9,20 @@ arithmetic.  Variables are chosen required targets first, then by
 smallest domain; required cells try values high to low, others low to
 high.
 
+Propagation is event-driven: a constraint is re-examined only when a
+bound it reads has moved since it last ran.  Linear constraints over
+one cell multiset are merged into one interval row, whose lower- and
+upper-bound sums are kept up to date in place; a change to either
+bound of a member cell marks the row dirty.  A cap line reads only
+lower bounds, so only a raised ``lo`` of its own or capped cells
+queues it.  A raised ``lo`` also marks the forbidden oracles of the
+targets the cell serves, and a lowered ``hi`` the required ones.  Each
+pass runs the dirty rows in order, then the queued cap lines, then the
+dirty required and forbidden oracles, until no row is dirty.  The row
+flags and the cap queue are not trailed: every propagation drains them,
+or clears them on a contradiction, so a node left by backtracking is
+back at its parent's fixpoint with nothing pending.
+
 Symmetry handling is dominance-only: at every node each admissible
 table symmetry is advanced along a fixed-prefix comparison, and a
 branch dies when some image is provably lexicographically smaller.
@@ -132,10 +146,21 @@ class _Compiled:
             (t,) + tuple(cat.compatible_cells[t]) for t in range(N_CELLS)
         ]
 
-        self.linear = [
-            (con.sense, tuple(CELL_INDEX[c] for c in con.cells), con.rhs)
-            for con in model.constraints
-        ]
+        # constraints over one cell multiset merge into one interval row
+        # (cells, lo_rhs, hi_rhs); None marks an open side
+        rows: dict[tuple[int, ...], list] = {}
+        for con in model.constraints:
+            idxs = tuple(CELL_INDEX[c] for c in con.cells)
+            row = rows.setdefault(tuple(sorted(idxs)), [idxs, None, None])
+            if con.sense != "le":
+                row[1] = con.rhs if row[1] is None else max(row[1], con.rhs)
+            if con.sense != "ge":
+                row[2] = con.rhs if row[2] is None else min(row[2], con.rhs)
+        self.linear = [tuple(row) for row in rows.values()]
+        self.rows_of_cell: list[list[int]] = [[] for _ in range(N_CELLS)]
+        for r, (idxs, _, _) in enumerate(self.linear):
+            for k in idxs:
+                self.rows_of_cell[k].append(r)
         self.req_targets = [k for k, c in enumerate(CELLS) if c in model.required]
         self.forb_targets = [k for k, c in enumerate(CELLS) if c in model.forbidden]
         self.required_idx = frozenset(self.req_targets)
@@ -149,6 +174,11 @@ class _Compiled:
             for t in self.forb_targets
             for b in cap_bounds(CELLS[t], cat)
         ]
+        # a cap line reads the lo of its own and capped cells only
+        self.cap_of_cell: list[list[int]] = [[] for _ in range(N_CELLS)]
+        for j, (own, cells4, _, _) in enumerate(self.cap_lines):
+            for k in (own,) + cells4:
+                self.cap_of_cell[k].append(j)
         self.req_of_cell: list[list[int]] = [[] for _ in range(N_CELLS)]
         for slot, t in enumerate(self.req_targets):
             for k in self.usable[t]:
@@ -196,6 +226,12 @@ class _Search:
         ]
         self.req_dirty = [True] * len(comp.req_targets)
         self.forb_dirty = [True] * len(comp.forb_targets)
+        self.slo = [sum(self.lo[k] for k in idxs) for idxs, _, _ in comp.linear]
+        self.shi = [sum(self.hi[k] for k in idxs) for idxs, _, _ in comp.linear]
+        # pending work; every _propagate call empties both, so neither
+        # is trailed
+        self.row_dirty = [True] * len(comp.linear)
+        self.cap_queue = set(range(len(comp.cap_lines)))
         self.deadline = (
             time.monotonic() + options.time_budget
             if options.time_budget is not None
@@ -209,18 +245,23 @@ class _Search:
 
     def _undo(self, mark: int):
         t = self.trail
+        c = self.c
         while len(t) > mark:
             kind, a, old = t.pop()
             if kind == 0:
                 delta = old - self.lo[a]
                 self.lo[a] = old
-                for slot in self.c.forb_of_cell[a]:
+                for slot in c.forb_of_cell[a]:
                     self.forb_sum_lo[slot] += delta
+                for r in c.rows_of_cell[a]:
+                    self.slo[r] += delta
             elif kind == 1:
                 delta = old - self.hi[a]
                 self.hi[a] = old
-                for slot in self.c.req_of_cell[a]:
+                for slot in c.req_of_cell[a]:
                     self.req_sum_hi[slot] += delta
+                for r in c.rows_of_cell[a]:
+                    self.shi[r] += delta
             elif kind == 2:
                 self.req_dirty[a] = bool(old)
             else:
@@ -234,11 +275,16 @@ class _Search:
         self.trail.append((0, k, self.lo[k]))
         delta = v - self.lo[k]
         self.lo[k] = v
-        for slot in self.c.forb_of_cell[k]:
+        c = self.c
+        for slot in c.forb_of_cell[k]:
             self.forb_sum_lo[slot] += delta
             if not self.forb_dirty[slot]:
                 self.trail.append((3, slot, 0))
                 self.forb_dirty[slot] = True
+        for r in c.rows_of_cell[k]:
+            self.slo[r] += delta
+            self.row_dirty[r] = True
+        self.cap_queue.update(c.cap_of_cell[k])
         return True
 
     def _set_hi(self, k: int, v: int) -> bool:
@@ -249,11 +295,15 @@ class _Search:
         self.trail.append((1, k, self.hi[k]))
         delta = v - self.hi[k]
         self.hi[k] = v
-        for slot in self.c.req_of_cell[k]:
+        c = self.c
+        for slot in c.req_of_cell[k]:
             self.req_sum_hi[slot] += delta
             if not self.req_dirty[slot]:
                 self.trail.append((2, slot, 0))
                 self.req_dirty[slot] = True
+        for r in c.rows_of_cell[k]:
+            self.shi[r] += delta
+            self.row_dirty[r] = True
         return True
 
     # -- propagation ----------------------------------------------------
@@ -268,88 +318,84 @@ class _Search:
             s += n if n < cap else cap
         return s
 
+    def _fail(self, prune: str) -> bool:
+        self.stats[prune] += 1
+        dirty = self.row_dirty
+        dirty[:] = [False] * len(dirty)
+        self.cap_queue.clear()
+        return False
+
     def _propagate(self) -> bool:
         c = self.c
-        again = True
-        while again:
-            again = False
-            for sense, idxs, rhs in c.linear:
-                slo = shi = 0
-                for i in idxs:
-                    slo += self.lo[i]
-                    shi += self.hi[i]
-                if sense != "le":
-                    if shi < rhs:
-                        self.stats["prune_linear"] += 1
-                        return False
+        lo, hi = self.lo, self.hi
+        dirty = self.row_dirty
+        queue = self.cap_queue
+        while True:
+            # a row marked while the sweep is past it waits for the next
+            # pass, so rows see the same states as in a full sweep
+            for r, woken in enumerate(dirty):
+                if not woken:
+                    continue
+                dirty[r] = False
+                idxs, lo_rhs, hi_rhs = c.linear[r]
+                slo = self.slo[r]
+                shi = self.shi[r]
+                if lo_rhs is not None:
+                    if shi < lo_rhs or (hi_rhs is not None and hi_rhs < lo_rhs):
+                        return self._fail("prune_linear")
                     for i in idxs:
-                        need = rhs - (shi - self.hi[i])
-                        if need > self.lo[i]:
-                            if not self._set_lo(i, need):
-                                self.stats["prune_linear"] += 1
-                                return False
-                            again = True
-                if sense != "ge":
-                    if slo > rhs:
-                        self.stats["prune_linear"] += 1
-                        return False
+                        need = lo_rhs - (shi - hi[i])
+                        if need > lo[i] and not self._set_lo(i, need):
+                            return self._fail("prune_linear")
+                if hi_rhs is not None:
+                    if slo > hi_rhs:
+                        return self._fail("prune_linear")
                     for i in idxs:
-                        room = rhs - (slo - self.lo[i])
-                        if room < self.hi[i]:
-                            if not self._set_hi(i, room):
-                                self.stats["prune_linear"] += 1
-                                return False
-                            again = True
-            for own, cells4, cap, limit in c.cap_lines:
-                base = self.lo[own]
+                        room = hi_rhs - (slo - lo[i])
+                        if room < hi[i] and not self._set_hi(i, room):
+                            return self._fail("prune_linear")
+            # cap lines only lower hi, so none is queued while they run
+            for j in queue:
+                own, cells4, cap, limit = c.cap_lines[j]
+                base = lo[own]
                 for k in cells4:
-                    m = self.lo[k]
+                    m = lo[k]
                     base += m if m < cap else cap
                 if base > limit:
-                    self.stats["prune_capbound"] += 1
-                    return False
-                room_own = limit - (base - self.lo[own])
-                if room_own < self.hi[own]:
-                    if not self._set_hi(own, room_own):
-                        self.stats["prune_capbound"] += 1
-                        return False
-                    again = True
+                    return self._fail("prune_capbound")
+                room_own = limit - (base - lo[own])
+                if room_own < hi[own] and not self._set_hi(own, room_own):
+                    return self._fail("prune_capbound")
                 for k in cells4:
-                    m = self.lo[k]
-                    m = m if m < cap else cap
-                    room = limit - (base - m)
-                    if room < cap and room < self.hi[k]:
-                        if not self._set_hi(k, room):
-                            self.stats["prune_capbound"] += 1
-                            return False
-                        again = True
+                    m = lo[k]
+                    room = limit - (base - (m if m < cap else cap))
+                    if room < cap and room < hi[k] and not self._set_hi(k, room):
+                        return self._fail("prune_capbound")
+            queue.clear()
             for slot, t in enumerate(c.req_targets):
                 if self.req_sum_hi[slot] < 8:
-                    self.stats["prune_counting"] += 1
-                    return False
+                    return self._fail("prune_counting")
                 if self.req_dirty[slot]:
                     self.trail.append((2, slot, 1))
                     self.req_dirty[slot] = False
                     # one cube covers at most two target corners, so the
                     # capped supply must reach eight before the oracle can
-                    if self._capped_supply(self.hi, t) < 8:
-                        self.stats["prune_counting"] += 1
-                        return False
-                    if not composable_from_vector(self.hi, t, c.cat):
-                        self.stats["prune_required_oracle"] += 1
-                        return False
+                    if self._capped_supply(hi, t) < 8:
+                        return self._fail("prune_counting")
+                    if not composable_from_vector(hi, t, c.cat):
+                        return self._fail("prune_required_oracle")
             for slot, t in enumerate(c.forb_targets):
                 if self.forb_dirty[slot]:
                     self.trail.append((3, slot, 1))
                     self.forb_dirty[slot] = False
                     if (
                         self.forb_sum_lo[slot] >= 8
-                        and self._capped_supply(self.lo, t) >= 8
-                        and composable_from_vector(self.lo, t, c.cat)
+                        and self._capped_supply(lo, t) >= 8
+                        and composable_from_vector(lo, t, c.cat)
                     ):
-                        self.stats["prune_forbidden_oracle"] += 1
-                        return False
-        return True
+                        return self._fail("prune_forbidden_oracle")
+            if True not in dirty:
+                return True
 
     # -- symmetry dominance ---------------------------------------------
 

@@ -3,26 +3,31 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from eightblocks.composability import solution_set
+from eightblocks.composability import composable_from_vector, solution_set
 from eightblocks.errors import InvalidInputError
+from eightblocks.experiments import run_max_infeasible
 from eightblocks.model import (
     LinearConstraint,
     Model,
     VarietyVariable,
     existence_model,
     max_infeasible_model,
+    min_universal_model,
 )
 from eightblocks.solver import (
     SearchOptions,
     _Compiled,
+    _Search,
     admissible_symmetries,
     enumerate_all,
     solve,
     split_subproblems,
 )
 from eightblocks.symmetry import canonical_vector, orbit_vectors
-from eightblocks.varieties import CELLS
+from eightblocks.varieties import CELL_INDEX, CELLS
 
 
 def _uniform_model(name, hi, constraints, objective=None):
@@ -178,6 +183,10 @@ def test_maximize_toy(cat):
     res = solve(m, SearchOptions(symmetry=False), cat=cat)
     assert res.status == "optimal" and res.objective == 5
     assert res.witness.size == 5
+    # levels 60..6 merge with the room row into an empty interval
+    # [bound, 5] and die at their root node
+    assert res.nodes == 84
+    assert res.prunes == {"prune_linear": 55, "sat_leaves": 1}
 
 
 def test_unknown_objective_rejected(cat):
@@ -196,3 +205,214 @@ def test_split_subproblems_partition(cat):
     fully = split_subproblems(_row_restricted(m, 1), depth=40)
     # splitting past the last free variable just returns the leaves
     assert all(all(lo == hi for lo, hi in s.domains()) for s in fully)
+
+
+# ----------------------------------------------------------------------
+# the two benchmark searches, pinned
+
+
+def test_capped_max_infeasible_40_pinned(cat):
+    res = run_max_infeasible(40, mode="capped", cat=cat)
+    assert res.status == "unsat" and res.complete
+    assert res.nodes == 8518
+    assert res.prunes == {
+        "prune_capbound": 646,
+        "prune_forbidden_oracle": 4000,
+        "prune_linear": 36,
+        "prune_symmetry": 892,
+    }
+
+
+def test_capped_one_min_universal_pinned(cat):
+    full = min_universal_model(cat)
+    m = replace(full, variables=tuple(VarietyVariable(c, 0, 1) for c in CELLS))
+    res = solve(m, cat=cat)
+    assert res.status == "optimal" and res.objective == 12
+    assert res.nodes == 4793
+    assert res.prunes == {
+        "prune_counting": 804,
+        "prune_required_oracle": 472,
+        "prune_symmetry": 1114,
+        "sat_leaves": 1,
+    }
+    assert res.witness.vector() == (
+        0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0,
+        0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1,
+    )
+
+
+# ----------------------------------------------------------------------
+# event-driven propagation against the full sweep
+
+
+def _merged_rows(model):
+    """Linear constraints per cell multiset as (cells, max lower, min upper)."""
+    cells, lows, highs = {}, {}, {}
+    for con in model.constraints:
+        idxs = tuple(CELL_INDEX[c] for c in con.cells)
+        key = tuple(sorted(idxs))
+        cells.setdefault(key, idxs)
+        if con.sense in ("ge", "eq"):
+            lows.setdefault(key, []).append(con.rhs)
+        if con.sense in ("le", "eq"):
+            highs.setdefault(key, []).append(con.rhs)
+    return [
+        (
+            idxs,
+            max(lows[key]) if key in lows else None,
+            min(highs[key]) if key in highs else None,
+        )
+        for key, idxs in cells.items()
+    ]
+
+
+def _full_sweep(s, rows):
+    """Reference propagation: every row and cap line on every pass.
+
+    Returns the prune key of the contradiction, or None at a fixpoint.
+    """
+    c = s.c
+    again = True
+    while again:
+        again = False
+        for idxs, lo_rhs, hi_rhs in rows:
+            slo = sum(s.lo[i] for i in idxs)
+            shi = sum(s.hi[i] for i in idxs)
+            if lo_rhs is not None:
+                if shi < lo_rhs or (hi_rhs is not None and hi_rhs < lo_rhs):
+                    return "prune_linear"
+                for i in idxs:
+                    need = lo_rhs - (shi - s.hi[i])
+                    if need > s.lo[i]:
+                        if not s._set_lo(i, need):
+                            return "prune_linear"
+                        again = True
+            if hi_rhs is not None:
+                if slo > hi_rhs:
+                    return "prune_linear"
+                for i in idxs:
+                    room = hi_rhs - (slo - s.lo[i])
+                    if room < s.hi[i]:
+                        if not s._set_hi(i, room):
+                            return "prune_linear"
+                        again = True
+        for own, cells4, cap, limit in c.cap_lines:
+            base = s.lo[own]
+            for k in cells4:
+                base += min(s.lo[k], cap)
+            if base > limit:
+                return "prune_capbound"
+            room_own = limit - (base - s.lo[own])
+            if room_own < s.hi[own]:
+                if not s._set_hi(own, room_own):
+                    return "prune_capbound"
+                again = True
+            for k in cells4:
+                room = limit - (base - min(s.lo[k], cap))
+                if room < cap and room < s.hi[k]:
+                    if not s._set_hi(k, room):
+                        return "prune_capbound"
+                    again = True
+        for slot, t in enumerate(c.req_targets):
+            if s.req_sum_hi[slot] < 8:
+                return "prune_counting"
+            if s.req_dirty[slot]:
+                s.req_dirty[slot] = False
+                if s._capped_supply(s.hi, t) < 8:
+                    return "prune_counting"
+                if not composable_from_vector(s.hi, t, c.cat):
+                    return "prune_required_oracle"
+        for slot, t in enumerate(c.forb_targets):
+            if s.forb_dirty[slot]:
+                s.forb_dirty[slot] = False
+                if (
+                    s.forb_sum_lo[slot] >= 8
+                    and s._capped_supply(s.lo, t) >= 8
+                    and composable_from_vector(s.lo, t, c.cat)
+                ):
+                    return "prune_forbidden_oracle"
+    return None
+
+
+def _event_driven(s):
+    """Prune key of the search's own propagation, or None."""
+    before = dict(s.stats)
+    ok = s._propagate()
+    # the pending work is not trailed, so no call may leave any behind
+    assert not s.cap_queue and not any(s.row_dirty)
+    pruned = [k for k, n in s.stats.items() if n != before.get(k, 0)]
+    assert len(pruned) == (0 if ok else 1)
+    return None if ok else pruned[0]
+
+
+def _draw_cut(data, s):
+    """Narrow one open domain of the search, as a branch does."""
+    open_cells = [k for k in range(len(CELLS)) if s.lo[k] < s.hi[k]]
+    k = data.draw(st.sampled_from(open_cells))
+    hi = data.draw(st.integers(s.lo[k], s.hi[k]))
+    # half the cuts fix the cell; the others may leave lo alone, and a
+    # lowered hi alone queues no cap line
+    lo = hi if data.draw(st.booleans()) else data.draw(st.integers(s.lo[k], hi))
+    assert s._set_lo(k, lo) and s._set_hi(k, hi)
+    return k, lo, hi
+
+
+_SENSES = st.sampled_from(["ge", "le", "eq"])
+
+
+def _drawn_model(data, kind, cat):
+    if kind != "existence":
+        return max_infeasible_model(data.draw(st.integers(0, 60)), kind, cat)
+    required = data.draw(
+        st.lists(st.sampled_from(CELLS), min_size=1, max_size=2, unique=True)
+    )
+    m = existence_model(required, mode="capped", cat=cat)
+    # the shared rows lie on one cap line of a forbidden target, so the
+    # lo values they raise are the ones that line reads
+    own = CELL_INDEX[data.draw(st.sampled_from(sorted(m.forbidden)))]
+    _, _, capped = data.draw(st.sampled_from(cat.supply_lines[own]))
+    shared = [CELLS[k] for k in (own,) + tuple(capped)]
+    other = data.draw(
+        st.lists(st.sampled_from(CELLS), min_size=1, max_size=6, unique=True)
+    )
+
+    def row(label, cells):
+        rhs = data.draw(st.integers(0, 2 * len(cells) + 1))
+        return LinearConstraint(label, data.draw(_SENSES), tuple(cells), rhs)
+
+    # two rows over one cell multiset, listed in different orders
+    rows = (row("a", shared), row("b", other), row("c", shared[::-1]))
+    # emptying cells that serve a required target lets its oracle and
+    # its counting screen see short supply
+    t = CELL_INDEX[required[0]]
+    serving = [CELLS[k] for k in (t,) + tuple(cat.compatible_cells[t])]
+    for c in data.draw(st.permutations(serving))[: data.draw(st.integers(0, 21))]:
+        m = m.restrict(c, 0, 0)
+    return replace(m, constraints=m.constraints + rows)
+
+
+@pytest.mark.parametrize("kind", ["capped", "full", "existence"])
+@given(data=st.data())
+def test_event_driven_propagation_matches_full_sweep(cat, kind, data):
+    model = _drawn_model(data, kind, cat)
+    rows = _merged_rows(model)
+    comp = _Compiled(model, SearchOptions(symmetry=False), cat)
+    new, ref = _Search(comp, SearchOptions()), _Search(comp, SearchOptions())
+    # one dive from the root, each node reached by one cut and
+    # propagated by both engines, as the search walks it
+    prune = _event_driven(new)
+    assert prune == _full_sweep(ref, rows)
+    while prune is None and new.lo != new.hi:
+        assert (new.lo, new.hi) == (ref.lo, ref.hi)
+        # a sibling branch, propagated and backtracked, leaves no trace
+        mark = len(new.trail)
+        _draw_cut(data, new)
+        _event_driven(new)
+        new._undo(mark)
+        assert (new.lo, new.hi) == (ref.lo, ref.hi)
+        k, lo, hi = _draw_cut(data, ref)
+        assert new._set_lo(k, lo) and new._set_hi(k, hi)
+        prune = _event_driven(new)
+        assert prune == _full_sweep(ref, rows)
+    if prune is None:
+        assert (new.lo, new.hi) == (ref.lo, ref.hi)
