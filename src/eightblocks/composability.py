@@ -514,17 +514,15 @@ def extract_arrangement(
         signs = corner_of_triple[triple]
         source, copy = assigned
         base = cat.variety(*source).coloring
-        slots = cubes.CORNER_SLOTS[signs]
-        oriented = None
-        for rot in cubes.ROTATIONS:
-            cand = cubes.apply_face_perm(base, rot)
-            if all(cand[s] == solid[s] for s in slots):
-                oriented = cand
-                break
-        if oriented is None:
+        # the slots of the cube that carry the corner's three colors
+        # name the one rotation that can bring them there
+        held = tuple(base.index(solid[s]) for s in cubes.CORNER_SLOTS[signs])
+        rot = cubes.CORNER_ROTATIONS.get((signs, held))
+        if rot is None:
             raise CertificateError(
                 f"internal: matched cube {source} cannot realize {triple} at {signs}"
             )
+        oriented = cubes.apply_face_perm(base, rot)
         placements.append(
             Placement(corner=signs, source=source, copy=copy, coloring=oriented)
         )

@@ -106,6 +106,15 @@ def _rotation_closure() -> tuple[FacePerm, ...]:
 ROTATIONS = _rotation_closure()
 assert len(ROTATIONS) == 24
 
+#: Rotation by corner and the source slots it brings to that corner's
+#: three slots; three faces pin a rotation, so no two rotations share a key.
+CORNER_ROTATIONS = {
+    (signs, tuple(rot[s] for s in slots)): rot
+    for signs, slots in CORNERS
+    for rot in ROTATIONS
+}
+assert len(CORNER_ROTATIONS) == 8 * 24
+
 
 def validate_coloring(coloring) -> Coloring:
     c = tuple(coloring)

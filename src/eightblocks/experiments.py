@@ -619,27 +619,33 @@ def checkpointed_solve(
         "subproblems": len(subs),
     }
 
+    # only complete, parseable lines count; a torn tail is cut off before
+    # the next record is appended, so it never merges with one
     done: dict[int, dict] = {}
-    fresh = True
-    if path.exists() and path.stat().st_size:
-        lines = path.read_text().splitlines()
+    keep = 0
+    data = path.read_bytes() if path.exists() else b""
+    head = (json.dumps(header) + "\n").encode()
+    if data and not head.startswith(data):
+        first, newline, rest = data.partition(b"\n")
         try:
-            stored = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+            stored = json.loads(first)
+        except ValueError as exc:
             raise ExperimentError(f"unreadable checkpoint header: {exc}") from None
         if stored != header:
             raise ExperimentError(
                 f"checkpoint {path} belongs to a different run: {stored}"
             )
-        fresh = False
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
+        keep = len(first) + 1 if newline else 0
+        for line in rest.splitlines(keepends=True):
+            if not line.endswith(b"\n"):
                 break  # torn final write from an interrupted run
-            done[rec["index"]] = rec
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                except ValueError:
+                    break
+                done[rec["index"]] = rec
+            keep += len(line)
 
     nodes = 0
     wall = 0.0
@@ -648,7 +654,8 @@ def checkpointed_solve(
     timed_out = False
 
     with path.open("a") as fh:
-        if fresh:
+        fh.truncate(keep)
+        if not keep:
             fh.write(json.dumps(header) + "\n")
             fh.flush()
         for i, sub in enumerate(subs):

@@ -23,12 +23,20 @@ flags and the cap queue are not trailed: every propagation drains them,
 or clears them on a contradiction, so a node left by backtracking is
 back at its parent's fixpoint with nothing pending.
 
-Symmetry handling is dominance-only: at every node each admissible
-table symmetry is advanced along a fixed-prefix comparison, and a
-branch dies when some image is provably lexicographically smaller.
-Completed witnesses are returned in canonical form.  A verdict of
-UNSAT therefore always covers the full search space, not just one
-fundamental domain.
+Symmetry handling is dominance-only: each admissible table symmetry
+compares the assignment with its image cell by cell, and a branch dies
+when some image is provably lexicographically smaller.  A comparison
+stops at the first cell pair not yet both fixed, so it is filed under
+the one cell that blocks it (the compared cell while that is free, else
+its image's source), and a node advances only the comparisons filed
+under cells that are now fixed.  Domains only narrow down a branch, so
+a comparison whose blocking cell is still free cannot move.  The map
+from cells to comparisons is copy-on-write: a node hands its children
+a shallow copy with the advanced comparisons filed anew, and never
+changes the map it was given, so nothing is trailed and backtracking
+just drops the child's map.  Completed witnesses are returned in
+canonical form.  A verdict of UNSAT therefore always covers the full
+search space, not just one fundamental domain.
 """
 
 from __future__ import annotations
@@ -55,6 +63,10 @@ from .symmetry import (
 from .varieties import CELLS, CELL_INDEX, COMPATIBLE_CAP, OWN_CAP, Catalog, catalog
 
 N_CELLS = len(CELLS)
+
+#: symmetry dominance states ``(pi, ptr)`` filed by the cell that blocks
+#: them, each cell holding a tuple of chunks that are never changed
+_Watch = dict[int, tuple[list[tuple[tuple[int, ...], int]], ...]]
 
 
 @dataclass(frozen=True)
@@ -200,6 +212,10 @@ class _Compiled:
         self.inv_perms = [
             inverses[i] for i in positions if inverses[i] != identity
         ]
+        # every comparison starts at cell 0, so cell 0 blocks them all
+        self.root_watch: _Watch = (
+            {0: ([(pi, 0) for pi in self.inv_perms],)} if self.inv_perms else {}
+        )
 
     def canonical_witness(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         if not self.perms:
@@ -399,31 +415,48 @@ class _Search:
 
     # -- symmetry dominance ---------------------------------------------
 
-    def _advance(
-        self, states: list[tuple[tuple[int, ...], int]]
-    ) -> list[tuple[tuple[int, ...], int]] | None:
-        """Advance prefix comparisons; None signals a dominated node."""
-        keep: list[tuple[tuple[int, ...], int]] = []
+    def _advance(self, watch: _Watch) -> _Watch | None:
+        """Advance the comparisons filed under cells now fixed.
+
+        Returns the child's map, leaving the caller's as it was, or
+        None for a dominated node.
+        """
         lo, hi = self.lo, self.hi
-        for pi, ptr in states:
-            while ptr < N_CELLS:
-                if lo[ptr] != hi[ptr]:
-                    break
-                src = pi[ptr]
-                if lo[src] != hi[src]:
-                    break
-                a = lo[ptr]
-                b = lo[src]
-                if b < a:
-                    self.stats["prune_symmetry"] += 1
-                    return None
-                if b > a:
-                    ptr = -1  # image provably larger: drop this element
-                    break
-                ptr += 1
-            if 0 <= ptr < N_CELLS:
-                keep.append((pi, ptr))
-        return keep
+        child = None
+        refiled: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for cell, chunks in watch.items():
+            if lo[cell] != hi[cell]:
+                continue
+            if child is None:
+                child = dict(watch)
+            del child[cell]
+            for chunk in chunks:
+                for pi, ptr in chunk:
+                    while True:
+                        if lo[ptr] != hi[ptr]:
+                            key = ptr
+                            break
+                        src = pi[ptr]
+                        if lo[src] != hi[src]:
+                            key = src
+                            break
+                        a = lo[ptr]
+                        b = lo[src]
+                        if b < a:
+                            self.stats["prune_symmetry"] += 1
+                            return None
+                        ptr += 1
+                        if b > a or ptr == N_CELLS:
+                            # image provably larger, or equal: drop it
+                            key = -1
+                            break
+                    if key >= 0:
+                        refiled.setdefault(key, []).append((pi, ptr))
+        if child is None:
+            return watch
+        for key, states in refiled.items():
+            child[key] = child.get(key, ()) + (states,)
+        return child
 
     # -- main recursion --------------------------------------------------
 
@@ -462,14 +495,14 @@ class _Search:
             return range(self.hi[k], self.lo[k] - 1, -1)
         return range(self.lo[k], self.hi[k] + 1)
 
-    def _search(self, states: list[tuple[tuple[int, ...], int]]) -> bool:
+    def _search(self, watch: _Watch) -> bool:
         """Returns True to stop the whole search (decision satisfied)."""
         self._tick()
         mark = len(self.trail)
         if not self._propagate():
             self._undo(mark)
             return False
-        nst = self._advance(states)
+        nst = self._advance(watch)
         if nst is None:
             self._undo(mark)
             return False
@@ -504,7 +537,7 @@ class _Search:
 
     def run_decision(self) -> tuple[str, tuple[int, ...] | None]:
         try:
-            found = self._search([(pi, 0) for pi in self.c.inv_perms])
+            found = self._search(self.c.root_watch)
         except _Budget:
             return "timeout", None
         return ("sat", self.witness) if found else ("unsat", None)
@@ -512,7 +545,7 @@ class _Search:
     def run_enumerate(self) -> tuple[bool, list[tuple[int, ...]]]:
         self.all_witnesses = set()
         try:
-            self._search([(pi, 0) for pi in self.c.inv_perms])
+            self._search(self.c.root_watch)
             complete = True
         except _Budget:
             complete = False

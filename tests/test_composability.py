@@ -129,6 +129,26 @@ def test_arrangement_extract_and_verify(cat):
         co.extract_arrangement(DEMO, (2, 3), cat)
 
 
+def test_corner_rotation_table_matches_rotation_search(cat):
+    from eightblocks import cubes
+
+    colorings = [cat.variety(*c).coloring for c in CELLS]
+    misses = 0
+    for base, solid in itertools.product(colorings, repeat=2):
+        for signs, slots in cubes.CORNERS:
+            # reference: try every rotation of the cube at the corner
+            fits = [
+                r for r in cubes.ROTATIONS
+                if all(base[r[s]] == solid[s] for s in slots)
+            ]
+            assert len(fits) <= 1
+            held = tuple(base.index(solid[s]) for s in slots)
+            assert cubes.CORNER_ROTATIONS.get((signs, held)) == (fits or [None])[0]
+            misses += not fits
+    # mirrored corner triples fit no rotation
+    assert 0 < misses < len(colorings) ** 2 * 8
+
+
 def test_verify_arrangement_catches_tampering(cat):
     from dataclasses import replace
 

@@ -1,9 +1,14 @@
 """Packaged experiment drivers: reference checks, sweeps, checkpointing."""
 
+import functools
 import json
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eightblocks.composability import solution_set
 from eightblocks.errors import ExperimentError, InvalidInputError
@@ -26,7 +31,7 @@ from eightblocks.experiments import (
 from eightblocks.model import existence_model, max_infeasible_model, min_universal_model
 from eightblocks.solver import SearchOptions
 from eightblocks.symmetry import count_orbits, orbit_vectors
-from eightblocks.varieties import CELLS
+from eightblocks.varieties import CELLS, catalog
 
 
 def _row_model(size, row, cat):
@@ -201,6 +206,38 @@ def test_checkpoint_tolerates_torn_line(tmp_path, cat):
     path.write_text("\n".join(whole[:3]) + '\n{"index": 3, "stat')
     res = checkpointed_solve(model, path, split_depth=1, cat=cat)
     assert res.status == "unsat"
+
+
+@functools.cache
+def _finished_checkpoint():
+    """Bytes of a finished checkpoint of eight row-model subproblems."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        checkpointed_solve(_row_model(24, 1, catalog()), path, split_depth=1)
+        return path.read_bytes()
+
+
+@given(data=st.data())
+def test_checkpoint_resumes_after_a_cut_at_any_byte(cat, data):
+    whole = _finished_checkpoint()
+    # a cut on either side of a line's newline leaves that line whole
+    # but maybe unterminated, so those offsets are drawn often
+    ends = [i for i, byte in enumerate(whole) if byte == ord("\n")]
+    edges = st.sampled_from([i + d for i in ends for d in (0, 1)])
+    cut = data.draw(st.integers(0, len(whole)) | edges)
+    model = _row_model(24, 1, cat)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        path.write_bytes(whole[:cut])
+        assert checkpointed_solve(model, path, split_depth=1, cat=cat).status == "unsat"
+        resumed = path.read_bytes()
+        # a second resume re-solves nothing, so every line of the first
+        # one parsed and no record was written onto a torn one
+        assert checkpointed_solve(model, path, split_depth=1, cat=cat).status == "unsat"
+        assert path.read_bytes() == resumed
+    assert resumed.endswith(b"\n")
+    lines = resumed.decode().splitlines()
+    assert sorted(json.loads(line)["index"] for line in lines[1:]) == list(range(8))
 
 
 def test_checkpoint_retries_timeouts(tmp_path, cat):

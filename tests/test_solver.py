@@ -1,5 +1,7 @@
 """Backtracking engine: verdicts, budgets, symmetry handling, enumeration."""
 
+import functools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -18,6 +20,7 @@ from eightblocks.model import (
     min_universal_model,
 )
 from eightblocks.solver import (
+    N_CELLS,
     SearchOptions,
     _Compiled,
     _Search,
@@ -27,7 +30,7 @@ from eightblocks.solver import (
     split_subproblems,
 )
 from eightblocks.symmetry import canonical_vector, orbit_vectors
-from eightblocks.varieties import CELL_INDEX, CELLS
+from eightblocks.varieties import CELL_INDEX, CELLS, catalog
 
 
 def _uniform_model(name, hi, constraints, objective=None):
@@ -416,3 +419,97 @@ def test_event_driven_propagation_matches_full_sweep(cat, kind, data):
         assert prune == _full_sweep(ref, rows)
     if prune is None:
         assert (new.lo, new.hi) == (ref.lo, ref.hi)
+
+
+# ----------------------------------------------------------------------
+# watched symmetry dominance against the list scan
+
+
+def _list_scan_advance(s, states):
+    """Reference dominance step: every live comparison on every node.
+
+    Returns the states left live, or None for a dominated node.
+    """
+    keep = []
+    lo, hi = s.lo, s.hi
+    for pi, ptr in states:
+        while ptr < N_CELLS:
+            if lo[ptr] != hi[ptr]:
+                break
+            src = pi[ptr]
+            if lo[src] != hi[src]:
+                break
+            a = lo[ptr]
+            b = lo[src]
+            if b < a:
+                return None
+            if b > a:
+                ptr = -1
+                break
+            ptr += 1
+        if 0 <= ptr < N_CELLS:
+            keep.append((pi, ptr))
+    return keep
+
+
+def _watched_states(s, watch):
+    """States of a watched map, each checked to sit under its blocking cell."""
+    lo, hi = s.lo, s.hi
+    for cell, chunks in watch.items():
+        assert lo[cell] < hi[cell]
+        for chunk in chunks:
+            blocking = {ptr if lo[ptr] < hi[ptr] else pi[ptr] for pi, ptr in chunk}
+            assert blocking == {cell}
+    return _multiset(st for chunks in watch.values() for chunk in chunks for st in chunk)
+
+
+def _multiset(states):
+    # a plain dict compares in C; Counter's own == walks both in Python
+    return dict(Counter(states))
+
+
+def _snapshot(watch):
+    return {cell: [list(chunk) for chunk in chunks] for cell, chunks in watch.items()}
+
+
+@functools.cache
+def _compiled_with_symmetry(kind, size):
+    cat = catalog()
+    if kind == "universal":
+        full = min_universal_model(cat)
+        model = replace(full, variables=tuple(VarietyVariable(c, 0, 1) for c in CELLS))
+    else:
+        model = max_infeasible_model(size, kind, cat)
+    return _Compiled(model, SearchOptions(), cat)
+
+
+@pytest.mark.parametrize("kind", ["capped", "full", "universal"])
+@given(data=st.data())
+def test_watched_dominance_matches_list_scan(kind, data):
+    # capped at one, min-universal has one model; compiling each model
+    # once keeps the examples on the dives
+    size = 0 if kind == "universal" else data.draw(st.integers(0, 60))
+    comp = _compiled_with_symmetry(kind, size)
+    s = _Search(comp, SearchOptions())
+    watch = comp.root_watch
+    ref = [(pi, 0) for pi in comp.inv_perms]
+    # one dive from the root, each node propagated and then advanced by
+    # both engines, as the search walks it
+    while s._propagate():
+        watch, ref = s._advance(watch), _list_scan_advance(s, ref)
+        assert (watch is None) == (ref is None)
+        if ref is None:
+            break
+        assert _watched_states(s, watch) == _multiset(ref)
+        if s.lo == s.hi:
+            break
+        # a sibling branch, advanced and backtracked, leaves the map as
+        # it was
+        before = _snapshot(watch)
+        mark = len(s.trail)
+        _draw_cut(data, s)
+        if s._propagate():
+            s._advance(watch)
+        s._undo(mark)
+        assert _snapshot(watch) == before
+        _draw_cut(data, s)
