@@ -348,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes only the flag groups it reads
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument(
         "--jobs",
@@ -356,14 +357,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(JOBS_ENV, "1"),
         help=f"worker processes (default from ${JOBS_ENV} or 1)",
     )
-    run_flags.add_argument("--node-budget", type=_at_least(0), default=None)
-    run_flags.add_argument("--time-budget", type=_at_least(0, float), default=None)
     run_flags.add_argument(
         "--seedless-deterministic",
         action="store_true",
         help="omit wall times so jobs=1 reports are byte-identical",
     )
     run_flags.add_argument("--machine", action="store_true", help="key=JSON output")
+    search_flags = argparse.ArgumentParser(add_help=False, parents=[run_flags])
+    search_flags.add_argument("--node-budget", type=_at_least(0), default=None)
+    search_flags.add_argument("--time-budget", type=_at_least(0, float), default=None)
 
     p = sub.add_parser("table", help="print the 6x6 variety table")
     p.add_argument("--format", choices=("text", "machine"), default="text")
@@ -381,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="run the built-in searches")
     ssub = search.add_subparsers(dest="search_command", required=True)
 
-    p = ssub.add_parser("existence", parents=[run_flags],
+    p = ssub.add_parser("existence", parents=[search_flags],
                         help="instance composing exactly the given varieties")
     p.add_argument("--solutions", required=True,
                    help="targets: 'i,j ...', 'row:i', 'col:j', 'all' or 'none'")
@@ -392,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-depth", type=_at_least(0), default=2)
     p.set_defaults(func=_cmd_search_existence)
 
-    p = ssub.add_parser("max-infeasible", parents=[run_flags],
+    p = ssub.add_parser("max-infeasible", parents=[search_flags],
                         help="instance of a given size composing nothing")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--mode", choices=("capped", "full"), default="full")
@@ -401,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-depth", type=_at_least(0), default=2)
     p.set_defaults(func=_cmd_search_max_infeasible)
 
-    p = ssub.add_parser("min-universal", parents=[run_flags],
+    p = ssub.add_parser("min-universal", parents=[search_flags],
                         help="smallest instance composing every variety")
     p.add_argument("--no-symmetry", action="store_true")
     p.set_defaults(func=_cmd_search_min_universal)
@@ -415,9 +417,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="restricted exhaustive scans")
     scsub = scan.add_subparsers(dest="scan_command", required=True)
-    p = scsub.add_parser("row-infeasible", parents=[run_flags],
+    p = scsub.add_parser("row-infeasible",
                          help="largest single-row instance composing nothing")
     p.add_argument("--row", type=int, default=1)
+    p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_scan_row)
 
     p = sub.add_parser("export", help="write a model as LP, DIMACS CNF or text")

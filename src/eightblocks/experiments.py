@@ -17,10 +17,10 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .composability import (
@@ -46,7 +46,14 @@ from .model import (
     max_infeasible_model,
     min_universal_model,
 )
-from .solver import SearchOptions, SearchResult, solve, split_subproblems
+from .solver import (
+    SearchOptions,
+    SearchResult,
+    ordered_map,
+    solve,
+    solve_subproblems,
+    split_subproblems,
+)
 from .symmetry import count_orbits, orbit_vectors
 from .varieties import CELL_INDEX, CELLS, Catalog, catalog
 
@@ -380,8 +387,8 @@ def _census_tally(
 ) -> tuple[dict[int, list[int]], tuple[int, tuple[int, ...]] | None]:
     """Merged ``_census_chunk`` results over all chunks.
 
-    ``chunk_map`` is builtin ``map`` or a process pool's ``map``; both
-    yield in chunk order, so the merge is the same either way.
+    ``chunk_map(fn, chunks)`` yields in chunk order, as builtin ``map``
+    and ``solver.ordered_map`` do, so the merge is the same either way.
     ``progress(done, total)`` is called once per finished chunk.
     """
     total = sum(len(c) for c in chunks)
@@ -426,11 +433,7 @@ def octet_census(
 
     step = max(1, len(reps) // (jobs * 4))
     chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
-    with ExitStack() as stack:
-        chunk_map = map
-        if jobs > 1:
-            chunk_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
-        hist, best = _census_tally(chunks, chunk_map, progress)
+    hist, best = _census_tally(chunks, partial(ordered_map, jobs=jobs), progress)
 
     orbit_total = sum(r[0] for r in hist.values())
     raw_total = sum(r[1] for r in hist.values())
@@ -601,14 +604,16 @@ def checkpointed_solve(
 
     The model is partitioned by fixing its first free cells; each
     subproblem verdict is appended to the checkpoint file as one JSON
-    line, so an interrupted run resumes where it stopped.  Budgets in
-    `options` apply per subproblem; subproblems recorded as timed out
-    are retried on resume.  The first satisfiable subproblem in split
-    order ends the run.
+    line, so an interrupted run resumes where it stopped.  Subproblems
+    without a finished record go through the solver's subproblem
+    driver, one serial search each over ``options.jobs`` processes.
+    Budgets in `options` cover the whole call, as for `solve`;
+    subproblems recorded as timed out are searched again on resume.
+    The first satisfiable subproblem in split order ends the run, and
+    its witness is reported in the model's canonical form.
     """
     if model.objective is not None:
         raise InvalidInputError("checkpointing covers decision models only")
-    cat = cat or catalog()
     path = Path(checkpoint)
     subs = split_subproblems(model, split_depth)
     # restricted variants share a builder name, so identity needs the domains
@@ -621,7 +626,7 @@ def checkpointed_solve(
 
     # only complete, parseable lines count; a torn tail is cut off before
     # the next record is appended, so it never merges with one
-    done: dict[int, dict] = {}
+    done: dict[int, tuple] = {}
     keep = 0
     data = path.read_bytes() if path.exists() else b""
     head = (json.dumps(header) + "\n").encode()
@@ -644,64 +649,30 @@ def checkpointed_solve(
                     rec = json.loads(line)
                 except ValueError:
                     break
-                done[rec["index"]] = rec
+                if rec["status"] == "sat":
+                    witness = Instance.from_vector(rec["witness"])
+                    if not check_assignment(model, witness).ok:
+                        raise ExperimentError(f"checkpointed witness fails: {line!r}")
+                if rec["status"] != "timeout":
+                    stats = Counter(rec["prunes"], nodes=rec["nodes"])
+                    done[rec["index"]] = (rec["status"], rec["witness"], stats)
             keep += len(line)
-
-    nodes = 0
-    wall = 0.0
-    prunes: dict[str, int] = {}
-    sat_vec: list[int] | None = None
-    timed_out = False
 
     with path.open("a") as fh:
         fh.truncate(keep)
         if not keep:
             fh.write(json.dumps(header) + "\n")
             fh.flush()
-        for i, sub in enumerate(subs):
-            rec = done.get(i)
-            if rec is None or rec["status"] == "timeout":
-                r = solve(sub, options, cat)
-                rec = {
-                    "index": i,
-                    "status": r.status,
-                    "nodes": r.nodes,
-                    "wall_time": r.wall_time,
-                    "prunes": r.prunes,
-                    "witness": list(r.witness.vector()) if r.witness else None,
-                }
-                fh.write(json.dumps(rec) + "\n")
-                fh.flush()
-            nodes += rec["nodes"]
-            wall += rec["wall_time"]
-            for k, v in rec.get("prunes", {}).items():
-                prunes[k] = prunes.get(k, 0) + v
-            if rec["status"] == "sat":
-                sat_vec = rec["witness"]
-                break
-            if rec["status"] == "timeout":
-                timed_out = True
 
-    if sat_vec is not None:
-        witness = Instance.from_vector(sat_vec)
-        confirm = check_assignment(model, witness)
-        if not confirm.ok:
-            raise ExperimentError(
-                f"checkpointed witness fails verification: {confirm.violations[:3]}"
-            )
-        status = "sat"
-    else:
-        witness = None
-        status = "timeout" if timed_out else "unsat"
-    return SearchResult(
-        status=status,
-        witness=witness,
-        objective=None,
-        nodes=nodes,
-        prunes=dict(sorted(prunes.items())),
-        wall_time=wall,
-        complete=status in ("sat", "unsat"),
-    )
+        def record(i: int, result: tuple) -> None:
+            status, vec, stats = result
+            prunes = {k: v for k, v in sorted(stats.items()) if k != "nodes"}
+            rec = {"index": i, "status": status, "nodes": stats["nodes"]}
+            rec.update(prunes=prunes, witness=vec)
+            fh.write(json.dumps(rec) + "\n")
+            fh.flush()
+
+        return solve_subproblems(model, subs, done, record, options, cat)
 
 
 # ----------------------------------------------------------------------

@@ -23,15 +23,11 @@ from functools import lru_cache
 from .cubes import Triple
 from .errors import InvalidInputError
 from .instances import Instance
-from .varieties import CELLS, CELL_INDEX, Catalog, catalog
+from .varieties import CELLS, CELL_INDEX, COMPATIBLE_CAP, OWN_CAP, Catalog, catalog
 
 Cell = tuple[int, int]
 
 MODES = ("capped", "full")
-
-# a cube count of eight of one variety always builds that variety's solid
-SELF_BUILD_COUNT = 8
-CAPPED_LIMIT = 2
 
 
 @dataclass(frozen=True)
@@ -103,8 +99,8 @@ class CapBoundConstraint:
     line: int
     own_cell: Cell
     capped_cells: tuple[Cell, ...]
-    cap: int = CAPPED_LIMIT
-    limit: int = SELF_BUILD_COUNT - 1
+    cap: int = COMPATIBLE_CAP
+    limit: int = OWN_CAP - 1
 
 
 Constraint = LinearConstraint | HallConstraint | ForbiddenConstraint | CapBoundConstraint
@@ -269,16 +265,16 @@ def existence_model(
     """
     _check_mode(mode)
     req = _validated_cells(required)
-    other_hi = CAPPED_LIMIT if mode == "capped" else SELF_BUILD_COUNT - 1
+    other_hi = COMPATIBLE_CAP if mode == "capped" else OWN_CAP - 1
     variables = tuple(
-        VarietyVariable(c, 0, SELF_BUILD_COUNT if c in req else other_hi)
+        VarietyVariable(c, 0, OWN_CAP if c in req else other_hi)
         for c in CELLS
     )
     constraints: list[LinearConstraint] = []
     if req:
         # some target must be composed, which takes eight cubes
         constraints.append(
-            LinearConstraint("total-supply", "ge", CELLS, SELF_BUILD_COUNT)
+            LinearConstraint("total-supply", "ge", CELLS, OWN_CAP)
         )
     label = ",".join(f"({i},{j})" for i, j in sorted(req)) or "none"
     return Model(
@@ -299,7 +295,7 @@ def max_infeasible_model(
     _check_mode(mode)
     if size < 0:
         raise InvalidInputError(f"negative size {size}")
-    hi = CAPPED_LIMIT if mode == "capped" else SELF_BUILD_COUNT - 1
+    hi = COMPATIBLE_CAP if mode == "capped" else OWN_CAP - 1
     hi = min(hi, size)
     variables = tuple(VarietyVariable(c, 0, hi) for c in CELLS)
     return Model(
@@ -316,7 +312,7 @@ def max_infeasible_model(
 def min_universal_model(cat: Catalog | None = None) -> Model:
     """Smallest instance composable for every target; pure covering model."""
     variables = tuple(
-        VarietyVariable(c, 0, SELF_BUILD_COUNT) for c in CELLS
+        VarietyVariable(c, 0, OWN_CAP) for c in CELLS
     )
     return Model(
         name="min-universal",

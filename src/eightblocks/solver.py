@@ -44,9 +44,11 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .composability import composable_from_vector
 from .errors import InvalidInputError
@@ -58,7 +60,7 @@ from .symmetry import (
     group,
     group_index,
     inverse_cell_perms,
-    permuted_vector,
+    least_image,
 )
 from .varieties import CELLS, CELL_INDEX, COMPATIBLE_CAP, OWN_CAP, Catalog, catalog
 
@@ -143,6 +145,19 @@ def admissible_symmetries(
     return tuple(out)
 
 
+def _admissible_positions(model: Model, options: SearchOptions, cat: Catalog):
+    """Group positions of the admissible symmetries; none when symmetry
+    handling is off."""
+    if not options.symmetry:
+        return []
+    index = group_index(cat)
+    return [index[s] for s in admissible_symmetries(model, cat)]
+
+
+def _admissible_perms(model: Model, options: SearchOptions, cat: Catalog):
+    return [cell_perms(cat)[i] for i in _admissible_positions(model, options, cat)]
+
+
 # ----------------------------------------------------------------------
 # compilation
 
@@ -200,11 +215,7 @@ class _Compiled:
             for k in self.usable[t]:
                 self.forb_of_cell[k].append(slot)
 
-        positions = (
-            [group_index(cat)[s] for s in admissible_symmetries(model, cat)]
-            if options.symmetry
-            else []
-        )
+        positions = _admissible_positions(model, options, cat)
         self.perms = [cell_perms(cat)[i] for i in positions]
         # dominance comparison needs inverses; drop the identity
         identity = tuple(range(N_CELLS))
@@ -217,18 +228,13 @@ class _Compiled:
             {0: ([(pi, 0) for pi in self.inv_perms],)} if self.inv_perms else {}
         )
 
-    def canonical_witness(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        if not self.perms:
-            return vec
-        return min(permuted_vector(vec, p) for p in self.perms)
-
 
 # ----------------------------------------------------------------------
 # the search proper
 
 
 class _Search:
-    def __init__(self, comp: _Compiled, options: SearchOptions):
+    def __init__(self, comp: _Compiled, options: SearchOptions, deadline=None):
         self.c = comp
         self.lo = list(comp.lo0)
         self.hi = list(comp.hi0)
@@ -248,11 +254,8 @@ class _Search:
         # is trailed
         self.row_dirty = [True] * len(comp.linear)
         self.cap_queue = set(range(len(comp.cap_lines)))
-        self.deadline = (
-            time.monotonic() + options.time_budget
-            if options.time_budget is not None
-            else None
-        )
+        # a time.monotonic() value shared by every search of one call
+        self.deadline = deadline
         self.node_budget = options.node_budget
         self.witness: tuple[int, ...] | None = None
         self.all_witnesses: set[tuple[int, ...]] | None = None
@@ -464,7 +467,8 @@ class _Search:
         self.stats["nodes"] += 1
         if self.node_budget is not None and self.stats["nodes"] > self.node_budget:
             raise _Budget
-        if self.deadline is not None and self.stats["nodes"] % 512 == 0:
+        # the first node looks too, so a search begun late stops at once
+        if self.deadline is not None and self.stats["nodes"] % 512 == 1:
             if time.monotonic() > self.deadline:
                 raise _Budget
 
@@ -528,19 +532,19 @@ class _Search:
             self.stats["leaf_reject"] += 1
             return False
         self.stats["sat_leaves"] += 1
-        canon = self.c.canonical_witness(vec)
+        canon = least_image(vec, self.c.perms)
         if self.all_witnesses is not None:
             self.all_witnesses.add(canon)
             return False
         self.witness = canon
         return True
 
-    def run_decision(self) -> tuple[str, tuple[int, ...] | None]:
+    def run_decision(self) -> tuple[str, tuple[int, ...] | None, Counter]:
         try:
-            found = self._search(self.c.root_watch)
+            status = "sat" if self._search(self.c.root_watch) else "unsat"
         except _Budget:
-            return "timeout", None
-        return ("sat", self.witness) if found else ("unsat", None)
+            status = "timeout"
+        return status, self.witness, self.stats
 
     def run_enumerate(self) -> tuple[bool, list[tuple[int, ...]]]:
         self.all_witnesses = set()
@@ -554,15 +558,6 @@ class _Search:
 
 # ----------------------------------------------------------------------
 # public drivers
-
-
-def _decision_once(
-    model: Model, options: SearchOptions, cat: Catalog
-) -> tuple[str, tuple[int, ...] | None, Counter]:
-    comp = _Compiled(model, options, cat)
-    s = _Search(comp, options)
-    status, vec = s.run_decision()
-    return status, vec, s.stats
 
 
 def _surrogate_floor(model: Model, cat: Catalog) -> int:
@@ -583,18 +578,6 @@ def _surrogate_floor(model: Model, cat: Catalog) -> int:
                 occ[k] += 1
         best = max(best, math.ceil(demand / max(occ)))
     return best
-
-
-def _remaining_options(
-    options: SearchOptions, used_nodes: int, start: float
-) -> SearchOptions:
-    nb = options.node_budget
-    tb = options.time_budget
-    return replace(
-        options,
-        node_budget=None if nb is None else max(0, nb - used_nodes),
-        time_budget=None if tb is None else max(0.0, tb - (time.monotonic() - start)),
-    )
 
 
 def _split_values(model: Model) -> tuple[tuple[int, int], list[int]] | None:
@@ -623,119 +606,141 @@ def split_subproblems(model: Model, depth: int = 1) -> list[Model]:
     return subs
 
 
+def _deadline(options: SearchOptions, start: float) -> float | None:
+    return None if options.time_budget is None else start + options.time_budget
+
+
+def ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+    """Lazy ``map(fn, items)``, in item order, over one process pool when
+    there is more than one job.  Closing it early cancels the items not
+    yet started and waits for the running ones."""
+    if jobs == 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
 def _subproblem_tasks(
-    subs: list[Model], options: SearchOptions
-) -> list[tuple[Model, SearchOptions]]:
-    """Serial options per subproblem, together spending no more nodes
-    than one serial search of the parent may.
+    subs: dict[int, Model], options: SearchOptions, deadline: float | None
+) -> dict[int, tuple[Model, SearchOptions, float | None]]:
+    """Serial search tasks by subproblem index, together spending no
+    more nodes than one serial search of the parent may, and sharing
+    its deadline.
 
     A search with node budget b counts at most b + 1 nodes, so the
     parent's b + 1 are dealt out evenly and a share s becomes budget
-    s - 1.  Subproblems whose share is zero are left out; the caller
+    s - 1.  Subproblems whose share is zero get no task; the caller
     reports them as not searched.
     """
     opts = replace(options, jobs=1)
     nb = options.node_budget
     if nb is None:
-        return [(m, opts) for m in subs]
-    q, r = divmod(nb + 1, len(subs))
-    shares = [q + (i < r) for i in range(len(subs))]
-    return [
-        (m, replace(opts, node_budget=share - 1))
-        for m, share in zip(subs, shares)
+        return {i: (m, opts, deadline) for i, m in subs.items()}
+    q, r = divmod(nb + 1, len(subs) or 1)
+    shares = [q + (n < r) for n in range(len(subs))]
+    return {
+        i: (m, replace(opts, node_budget=share - 1), deadline)
+        for (i, m), share in zip(subs.items(), shares)
         if share
-    ]
+    }
 
 
-def _run_subproblems(
-    model: Model, options: SearchOptions, cat: Catalog, run: Callable
-) -> tuple[list, bool]:
-    """Results of ``run(model, options, cat)`` over the model's subproblems,
-    and whether every subproblem was run.
-
-    One job runs the model itself in-process, so node counts match a
-    plain search.  More jobs split it on its first free cell and map the
-    subproblems over a process pool, dealing out the node budget with
-    ``_subproblem_tasks``.
-    """
-    if options.jobs == 1:
-        return [run(model, options, cat)], True
-    subs = split_subproblems(model, depth=1)
-    tasks = [(run, m, opts) for m, opts in _subproblem_tasks(subs, options)]
-    with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-        results = list(pool.map(_run_in_worker, tasks))
-    return results, len(tasks) == len(subs)
-
-
-def _run_in_worker(task):
-    run, model, options = task
-    return run(model, options, catalog())
+def _searched(run: Callable, task: tuple):
+    model, options, deadline = task
+    return run(_Search(_Compiled(model, options, catalog()), options, deadline))
 
 
 def _decide(
-    model: Model, options: SearchOptions, cat: Catalog
+    model: Model,
+    subs: list[Model],
+    options: SearchOptions,
+    deadline: float | None,
+    cat: Catalog,
+    stored: dict[int, tuple],
+    record: Callable | None,
 ) -> tuple[str, tuple[int, ...] | None, Counter]:
-    results, all_run = _run_subproblems(model, options, cat, _decision_once)
+    """Status, witness and stats merged over a partition, in its order.
+
+    Subproblem i gives ``stored[i]`` if present, else a fresh search
+    whose result goes to ``record(i, result)`` first.  The first
+    ``sat`` ends the merge, and its witness is re-reduced under the
+    parent's admissible group, which a restricted subproblem may lack.
+    """
+    pending = {i: m for i, m in enumerate(subs) if i not in stored}
+    tasks = _subproblem_tasks(pending, options, deadline)
+    run = partial(_searched, _Search.run_decision)
     stats: Counter = Counter()
-    status_all = "unsat" if all_run else "timeout"
-    witness = None
-    for status, vec, st in results:
-        stats.update(st)
-        if status == "sat" and status_all != "sat":
-            status_all, witness = "sat", vec
-        elif status == "timeout" and status_all == "unsat":
-            status_all = "timeout"
-    if witness is not None:
-        # restricted subproblems carry smaller admissible groups, so
-        # their canonical forms must be re-reduced under the parent's
-        witness = _Compiled(model, options, cat).canonical_witness(witness)
-    return status_all, witness, stats
+    status_all = "unsat"
+    with closing(ordered_map(run, tasks.values(), options.jobs)) as fresh:
+        for i in range(len(subs)):
+            if i in tasks:
+                result = next(fresh)
+                if record is not None:
+                    record(i, result)
+            else:
+                # no record and no share of the node budget: not searched
+                result = stored.get(i, ("timeout", None, Counter()))
+            status, vec, st = result
+            stats.update(st)
+            if status == "sat":
+                perms = _admissible_perms(model, options, cat)
+                return "sat", least_image(vec, perms), stats
+            if status == "timeout":
+                status_all = "timeout"
+    return status_all, None, stats
+
+
+def _result(
+    model: Model, start: float, status: str, vec, stats: Counter, objective=None
+) -> SearchResult:
+    wit = Instance.from_vector(vec) if vec is not None else None
+    if wit is not None and not (confirm := check_assignment(model, wit)).ok:
+        raise AssertionError(f"engine returned a bad witness: {confirm.violations[:3]}")
+    return SearchResult(
+        status=status,
+        witness=wit,
+        objective=objective,
+        nodes=stats.get("nodes", 0),
+        prunes={k: v for k, v in sorted(stats.items()) if k != "nodes"},
+        wall_time=time.monotonic() - start,
+        complete=status in ("sat", "unsat", "optimal"),
+    )
 
 
 def solve(
     model: Model, options: SearchOptions | None = None, cat: Catalog | None = None
 ) -> SearchResult:
-    """Decide or optimize the model; verdicts are final unless 'timeout'."""
+    """Decide or optimize the model; verdicts are final unless 'timeout'.
+
+    The budgets cover the whole call: every job and objective level.
+    """
     options = options or SearchOptions()
-    cat = cat or catalog()
-    start = time.monotonic()
-
-    def finish(status, vec, stats, objective=None):
-        wit = Instance.from_vector(vec) if vec is not None else None
-        if wit is not None:
-            confirm = check_assignment(model, wit)
-            if not confirm.ok:
-                raise AssertionError(
-                    f"engine returned a bad witness: {confirm.violations[:3]}"
-                )
-        return SearchResult(
-            status=status,
-            witness=wit,
-            objective=objective,
-            nodes=stats.get("nodes", 0),
-            prunes={k: v for k, v in sorted(stats.items()) if k != "nodes"},
-            wall_time=time.monotonic() - start,
-            complete=status in ("sat", "unsat", "optimal"),
-        )
-
+    # one job searches the model itself, so node counts match a plain
+    # search; more jobs split it on its first free cell
+    depth = int(options.jobs > 1)
     if model.objective is None:
-        return finish(*_decide(model, options, cat))
-
+        subs = split_subproblems(model, depth)
+        return solve_subproblems(model, subs, {}, None, options, cat)
     if model.objective not in ("minimize-total", "maximize-total"):
         raise InvalidInputError(f"unknown objective {model.objective!r}")
 
+    cat = cat or catalog()
+    start = time.monotonic()
+    deadline = _deadline(options, start)
     total_stats: Counter = Counter()
-    minimize = model.objective == "minimize-total"
-    if minimize:
-        bound = _surrogate_floor(model, cat)
-        step = 1
-        sense = "le"
+    if model.objective == "minimize-total":
+        bound, step, sense = _surrogate_floor(model, cat), 1, "le"
     else:
-        bound = sum(v.hi for v in model.variables)
-        step = -1
-        sense = "ge"
+        bound, step, sense = sum(v.hi for v in model.variables), -1, "ge"
     lo_total = sum(v.lo for v in model.variables)
     hi_total = sum(v.hi for v in model.variables)
+    nb = options.node_budget
     while lo_total <= bound <= hi_total:
         level = replace(
             model,
@@ -743,16 +748,38 @@ def solve(
             + (LinearConstraint("objective-bound", sense, CELLS, bound),),
             objective=None,
         )
-        opts = _remaining_options(options, total_stats.get("nodes", 0), start)
-        status, vec, stats = _decide(level, opts, cat)
+        used = total_stats["nodes"]
+        opts = replace(options, node_budget=None if nb is None else max(0, nb - used))
+        subs = split_subproblems(level, depth)
+        status, vec, stats = _decide(level, subs, opts, deadline, cat, {}, None)
         total_stats.update(stats)
         if status == "sat":
-            got = sum(vec)
-            return finish("optimal", vec, total_stats, objective=got)
+            return _result(model, start, "optimal", vec, total_stats, sum(vec))
         if status == "timeout":
-            return finish("timeout", None, total_stats)
+            return _result(model, start, "timeout", None, total_stats)
         bound += step
-    return finish("unsat", None, total_stats)
+    return _result(model, start, "unsat", None, total_stats)
+
+
+def solve_subproblems(
+    model: Model,
+    subs: list[Model],
+    stored: dict[int, tuple],
+    record: Callable | None,
+    options: SearchOptions | None = None,
+    cat: Catalog | None = None,
+) -> SearchResult:
+    """Decide a decision model from a partition of it, as `solve` does.
+
+    ``stored`` maps subproblem indices to results ``(status, witness
+    vector, stats)`` already known; the rest are searched, and
+    ``record`` sees each fresh result as `_decide` merges it.
+    """
+    options = options or SearchOptions()
+    start = time.monotonic()
+    deadline = _deadline(options, start)
+    decided = _decide(model, subs, options, deadline, cat or catalog(), stored, record)
+    return _result(model, start, *decided)
 
 
 def enumerate_all(
@@ -761,19 +788,20 @@ def enumerate_all(
     """All solutions up to the admissible symmetries, plus a completeness flag."""
     options = options or SearchOptions()
     cat = cat or catalog()
-    results, complete = _run_subproblems(model, options, cat, _enumerate_once)
-    parent = _Compiled(model, options, cat)
+    subs = split_subproblems(model, int(options.jobs > 1))
+    deadline = _deadline(options, time.monotonic())
+    tasks = _subproblem_tasks(dict(enumerate(subs)), options, deadline)
+    run = partial(_searched, _Search.run_enumerate)
+    perms = _admissible_perms(model, options, cat)
+    complete = len(tasks) == len(subs)
+    found = set()
+    for flag, vecs in ordered_map(run, tasks.values(), options.jobs):
+        complete = complete and flag
+        found.update(least_image(v, perms) for v in vecs)
     out = []
-    found = {parent.canonical_witness(v) for _, vecs in results for v in vecs}
     for vec in sorted(found):
         inst = Instance.from_vector(vec)
         if not check_assignment(model, inst).ok:
             raise AssertionError("enumeration produced a bad witness")
         out.append(inst)
-    return out, complete and all(flag for flag, _ in results)
-
-
-def _enumerate_once(
-    model: Model, options: SearchOptions, cat: Catalog
-) -> tuple[bool, list[tuple[int, ...]]]:
-    return _Search(_Compiled(model, options, cat), options).run_enumerate()
+    return out, complete

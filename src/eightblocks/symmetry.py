@@ -209,13 +209,20 @@ def permuted_vector(
     return tuple(moved)
 
 
+def least_image(
+    vec: Sequence[int], perms: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """Lexicographically smallest image of a count vector under the given
+    cell permutations; the vector itself when there are none."""
+    vec = tuple(vec)
+    return min((permuted_vector(vec, p) for p in perms), default=vec)
+
+
 def canonical_vector(
     vec: Sequence[int], cat: Catalog | None = None
 ) -> tuple[int, ...]:
     """Lexicographically smallest image of a count vector under the group."""
-    cat = cat or catalog()
-    vec = tuple(vec)
-    return min(permuted_vector(vec, p) for p in cell_perms(cat))
+    return least_image(vec, cell_perms(cat or catalog()))
 
 
 def canonical_instance(instance: Instance, cat: Catalog | None = None) -> Instance:

@@ -177,6 +177,9 @@ def test_jobs_env_default(monkeypatch):
         (None, ["search", "min-universal", "--node-budget", "-5"], 2),
         (None, ["search", "min-universal", "--time-budget", "-1"], 2),
         (None, ["census", "octets", "--jobs", "0"], 2),
+        # flags a subcommand would ignore are not accepted
+        (None, ["scan", "row-infeasible", "--node-budget", "5"], 2),
+        (None, ["census", "octets", "--time-budget", "5"], 2),
     ],
 )
 def test_bad_input_exits_without_traceback(monkeypatch, capsys, env_jobs, argv, code):

@@ -3,6 +3,7 @@
 import functools
 import json
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from eightblocks.experiments import (
     verify_small_sizes_infeasible,
 )
 from eightblocks.model import existence_model, max_infeasible_model, min_universal_model
-from eightblocks.solver import SearchOptions
-from eightblocks.symmetry import count_orbits, orbit_vectors
+from eightblocks.solver import SearchOptions, _Compiled
+from eightblocks.symmetry import count_orbits, least_image, orbit_vectors
 from eightblocks.varieties import CELLS, catalog
 
 
@@ -254,6 +255,42 @@ def test_checkpoint_retries_timeouts(tmp_path, cat):
     for r in recs:
         by_index.setdefault(r["index"], []).append(r["status"])
     assert all(statuses[-1] == "unsat" for statuses in by_index.values())
+
+
+def test_checkpoint_node_budget_covers_the_call(tmp_path, cat):
+    model = max_infeasible_model(24, mode="capped", cat=cat)
+    res = checkpointed_solve(
+        model, tmp_path / "run.jsonl", SearchOptions(node_budget=100), cat=cat
+    )
+    assert res.status == "timeout"
+    # as many nodes as one plain search with the same budget may count
+    assert res.nodes <= 101
+
+
+def test_checkpoint_time_budget_covers_the_call(tmp_path, cat):
+    model = max_infeasible_model(24, mode="full", cat=cat)
+    start = time.monotonic()
+    res = checkpointed_solve(
+        model, tmp_path / "run.jsonl", SearchOptions(time_budget=0.25), cat=cat
+    )
+    assert res.status == "timeout"
+    # 64 subproblems share one deadline, rather than taking 0.25 s each
+    assert time.monotonic() - start < 3.0
+
+
+def test_checkpoint_witness_is_parent_canonical_under_jobs(tmp_path, cat):
+    model = existence_model([(2, 5)], cat=cat)
+    witnesses = []
+    for jobs in (1, 2):
+        path = tmp_path / f"jobs-{jobs}.jsonl"
+        res = checkpointed_solve(model, path, SearchOptions(jobs=jobs), cat=cat)
+        assert res.status == "sat"
+        statuses = [json.loads(l)["status"] for l in path.read_text().splitlines()[1:]]
+        assert statuses.index("sat") == len(statuses) - 1
+        witnesses.append(res.witness.vector())
+    assert witnesses[0] == witnesses[1]
+    perms = _Compiled(model, SearchOptions(), cat).perms
+    assert least_image(witnesses[0], perms) == witnesses[0]
 
 
 def test_checkpoint_rejects_objective_models(tmp_path, cat):

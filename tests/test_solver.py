@@ -1,6 +1,7 @@
 """Backtracking engine: verdicts, budgets, symmetry handling, enumeration."""
 
 import functools
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from eightblocks.solver import (
     solve,
     split_subproblems,
 )
-from eightblocks.symmetry import canonical_vector, orbit_vectors
+from eightblocks.symmetry import canonical_vector, least_image, orbit_vectors
 from eightblocks.varieties import CELL_INDEX, CELLS, catalog
 
 
@@ -106,6 +107,16 @@ def test_time_budget_timeout(cat):
     assert res.status == "timeout" and not res.complete
 
 
+def test_time_budget_holds_under_jobs(cat):
+    # eight subproblems on two workers share one deadline, rather than
+    # taking the budget each
+    m = max_infeasible_model(24, mode="full", cat=cat)
+    start = time.monotonic()
+    res = solve(m, SearchOptions(time_budget=1.0, jobs=2), cat=cat)
+    assert res.status == "timeout"
+    assert time.monotonic() - start < 2.5
+
+
 def test_enumerate_row_maximizers(cat):
     r23 = _row_restricted(max_infeasible_model(23, mode="full", cat=cat), 1)
     found, complete = enumerate_all(r23, cat=cat)
@@ -139,7 +150,7 @@ def test_parallel_jobs_same_answers(cat):
     # the split may find a different solution, but it is reported in
     # the parent model's canonical form, as a serial witness is
     vec = par.witness.vector()
-    assert _Compiled(m, SearchOptions(), cat).canonical_witness(vec) == vec
+    assert least_image(vec, _Compiled(m, SearchOptions(), cat).perms) == vec
     m2 = _uniform_model("all-pairs", 1, [LinearConstraint("total", "eq", CELLS, 2)])
     f1, c1 = enumerate_all(m2, SearchOptions(jobs=1), cat=cat)
     f2, c2 = enumerate_all(m2, SearchOptions(jobs=2), cat=cat)
