@@ -12,6 +12,7 @@ disagreeing), 2 usage error, 3 unreadable or malformed instance file,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -341,7 +342,9 @@ def _at_least(least: int, kind=int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="eightblocks",
         description="Colored-cube instance analysis: oracles, searches, exports.",
@@ -353,8 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument(
         "--jobs",
         type=_at_least(1),
-        # a string default is parsed by `type` only when the flag is absent
-        default=os.environ.get(JOBS_ENV, "1"),
+        # None stands for "not given"; _parse_args reads the variable per call
+        default=None,
         help=f"worker processes (default from ${JOBS_ENV} or 1)",
     )
     run_flags.add_argument(
@@ -437,9 +440,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv=None) -> argparse.Namespace:
+    """Parsed arguments, with ``--jobs`` taken from the environment when absent."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) is None:
+        try:
+            args.jobs = _at_least(1)(os.environ.get(JOBS_ENV, "1"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"${JOBS_ENV}: {exc}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except InstanceFormatError as exc:

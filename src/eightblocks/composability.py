@@ -13,22 +13,29 @@ Two independent routes decide this:
   components.
 
 Both routes are kept separate so they can cross-check each other.  The
-tree route has one kernel, ``graphs.tree_component_count``, and one
-multigraph builder, ``treecount_from_vector``.  The bulk scan calls the
-builder once per capped count pattern (each compatible count capped at
-two, which cannot change a tree count), not once per count vector.
+tree route has two kernels.  ``composable_from_vector``, the verdict the
+solver, the census, the row scan and the small-size sweep ask for, runs
+the component closure on bitmasks through per-target tables that each
+catalog builds on a target's first use, and builds no multigraph.
+``treecount_from_vector`` is the one multigraph builder and counts tree
+components with ``graphs.tree_component_count``; the per-call
+``is_composable_treecount`` (and so ``check``'s cross-check) and the
+bulk scan use it, the bulk scan once per capped count pattern (each
+compatible count capped at two, which cannot change a tree count), not
+once per count vector.
 
 Capped counts give the same verdicts as raw ones.  A perfect matching
 uses at most ``OWN_CAP`` cubes of the target and ``COMPATIBLE_CAP`` of
 each compatible cell, so the matching graph lists no more copies than
 that, and a target whose capped supply falls short of eight corners is
-not composable; ``composable_targets`` runs the tree route only on the
-targets that pass this screen.
+not composable; ``composable_targets`` runs the bitmask kernel only on
+the targets that pass this screen.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from collections.abc import Collection, Iterator, Sequence
 
@@ -251,10 +258,95 @@ def treecount_from_vector(
     return _tree_count_raw(8, edges)
 
 
+#: ``bytes.translate`` tables turning a count into a binary digit: "1"
+#: when the cell's edge is present (count at least 1) or multiple (at
+#: least 2)
+_PRESENT_DIGITS = b"0" + b"1" * 255
+_MULTI_DIGITS = b"00" + b"1" * 254
+
+#: bit of cell 0 in a cell mask that ``int(..., 2)`` reads from a count
+#: vector's digits, the first digit being the most significant
+_TOP = len(CELLS) - 1
+
+
+def _tree_tables(
+    cat: Catalog, target_index: int
+) -> tuple[array, bytes, bytes, bytes]:
+    """Build and store the tree kernel's tables for one target.
+
+    The edges of the target's shared-triple graph are its compatible
+    cells, cell ``k`` at bit ``_TOP - k`` of a cell mask.  The tables
+    are ``inc[C]``, the edges with an endpoint in the node set ``C``
+    (an array, as 256 int objects per target would raise peak memory),
+    and for each ten-bit third of a cell mask, the node set its edges
+    touch.  Every entry extends a smaller one by one member.
+    """
+    pairs = cat.shared_pairs[target_index]
+    ends = [0] * len(CELLS)  # the nodes of the edge at each bit
+    for k in cat.compatible_cells[target_index]:
+        a, b = pairs[k]
+        ends[_TOP - k] = 1 << a | 1 << b
+    at = [0] * 8  # the edges at each node
+    for bit, pair in enumerate(ends):
+        for v in range(8):
+            if pair >> v & 1:
+                at[v] |= 1 << bit
+    inc = [0] * 256
+    for c in range(1, 256):
+        low = c & -c
+        inc[c] = inc[c ^ low] | at[low.bit_length() - 1]
+    thirds = []
+    for first in (0, 10, 20):
+        touched = bytearray(1024)
+        for e in range(1, 1024):
+            low = e & -e
+            touched[e] = touched[e ^ low] | ends[first + low.bit_length() - 1]
+        thirds.append(bytes(touched))
+    tables = (array("I", inc), *thirds)
+    cat.tree_tables[target_index] = tables
+    return tables
+
+
 def composable_from_vector(
     vec: Sequence[int], target_index: int, cat: Catalog
 ) -> bool:
-    return vec[target_index] >= treecount_from_vector(vec, target_index, cat)
+    """Tree-route verdict for one target of a list or tuple of counts.
+
+    The same verdict as ``vec[t] >= treecount_from_vector(vec, t, cat)``
+    without building the multigraph.  The cells with a count and those
+    with two or more are two cell masks; each component is grown from
+    its least node to a fixpoint through the target's tables, and it is
+    a tree when none of its edges is multiple and it has one edge fewer
+    than nodes.  The answer is False as soon as the trees outnumber the
+    target's own cubes.
+    """
+    own = vec[target_index]
+    if own >= 8:  # there are at most eight tree components
+        return True
+    tables = cat.tree_tables[target_index] or _tree_tables(cat, target_index)
+    inc, ends0, ends1, ends2 = tables
+    try:
+        raw = bytes(vec)
+    except ValueError:  # a count past 255; only 0, 1 and more matter
+        raw = bytes(min(n, 2) for n in vec)
+    present = int(raw.translate(_PRESENT_DIGITS), 2)
+    multi = int(raw.translate(_MULTI_DIGITS), 2)
+    left = 255
+    trees = 0
+    while left:
+        c = left & -left
+        while True:
+            e = present & inc[c]
+            grown = c | ends0[e & 1023] | ends1[e >> 10 & 1023] | ends2[e >> 20]
+            if grown == c:
+                break
+            c = grown
+        left ^= c
+        if not e & multi and e.bit_count() == c.bit_count() - 1:
+            trees += 1
+            if trees > own:
+                return False
+    return True
 
 
 def composable_targets(vec: Sequence[int], cat: Catalog) -> Iterator[int]:

@@ -37,7 +37,12 @@ from .composability import (
     usable_cube_count,
     verify_arrangement,
 )
-from .errors import CertificateError, ExperimentError, InvalidInputError
+from .errors import (
+    CertificateError,
+    EightBlocksError,
+    ExperimentError,
+    InvalidInputError,
+)
 from .instances import Instance
 from .model import (
     Model,
@@ -593,6 +598,36 @@ def run_min_universal(
 # checkpointed long runs
 
 
+_RECORD_KEYS = ("index", "status", "nodes", "prunes", "witness")
+
+
+def _record_problem(rec, model: Model, subproblems: int) -> str | None:
+    """Why a parsed checkpoint record cannot be used, or None when it can."""
+    if not isinstance(rec, dict):
+        return "not a record"
+    missing = [key for key in _RECORD_KEYS if key not in rec]
+    if missing:
+        return f"missing {', '.join(missing)}"
+    index = rec["index"]
+    if type(index) is not int or not 0 <= index < subproblems:
+        return f"index outside the {subproblems} subproblems"
+    if rec["status"] not in ("sat", "unsat", "timeout"):
+        return "unknown status"
+    prunes = rec["prunes"]
+    if type(rec["nodes"]) is not int or not isinstance(prunes, dict) or any(
+        type(n) is not int for n in prunes.values()
+    ):
+        return "counts are not integers"
+    if rec["status"] == "sat":
+        try:
+            witness = Instance.from_vector(rec["witness"])
+        except (EightBlocksError, TypeError, ValueError):
+            return "unreadable witness"
+        if not check_assignment(model, witness).ok:
+            return "witness fails the model"
+    return None
+
+
 def checkpointed_solve(
     model: Model,
     checkpoint: str | Path,
@@ -641,7 +676,7 @@ def checkpointed_solve(
                 f"checkpoint {path} belongs to a different run: {stored}"
             )
         keep = len(first) + 1 if newline else 0
-        for line in rest.splitlines(keepends=True):
+        for number, line in enumerate(rest.splitlines(keepends=True), 2):
             if not line.endswith(b"\n"):
                 break  # torn final write from an interrupted run
             if line.strip():
@@ -649,10 +684,12 @@ def checkpointed_solve(
                     rec = json.loads(line)
                 except ValueError:
                     break
-                if rec["status"] == "sat":
-                    witness = Instance.from_vector(rec["witness"])
-                    if not check_assignment(model, witness).ok:
-                        raise ExperimentError(f"checkpointed witness fails: {line!r}")
+                why = _record_problem(rec, model, len(subs))
+                if why:
+                    raise ExperimentError(
+                        f"checkpoint {path} line {number}: {why}: "
+                        + line.strip().decode(errors="replace")
+                    )
                 if rec["status"] != "timeout":
                     stats = Counter(rec["prunes"], nodes=rec["nodes"])
                     done[rec["index"]] = (rec["status"], rec["witness"], stats)

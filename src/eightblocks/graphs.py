@@ -4,9 +4,11 @@ Kept free of puzzle vocabulary on purpose: the bipartite side works on
 integer-labelled nodes and the multigraph side on (node, node, multiplicity)
 edges, so both can be exercised independently of the cube layer.
 
-``tree_component_count`` is the one implementation of the tree
-criterion: the per-call, vector and bulk tree oracles and the table
-construction's layout check all reach it.
+``tree_component_count`` is the reference implementation of the tree
+criterion: the per-call and bulk tree oracles and the table
+construction's layout check reach it.  The count-vector verdict
+``composability.composable_from_vector`` has its own table-driven
+bitmask kernel and is checked against this one.
 """
 
 from __future__ import annotations

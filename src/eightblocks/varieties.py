@@ -169,6 +169,9 @@ class Catalog:
         self.shared_pairs: tuple[tuple[tuple[int, int] | None, ...], ...] = tuple(
             pair_table
         )
+        # tree_tables[t]: the bitmask tree kernel's tables for target t,
+        # built by composability on the target's first use, not here
+        self.tree_tables: list[tuple | None] = [None] * n
 
     # ------------------------------------------------------------------
     # lookups

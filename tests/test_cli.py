@@ -2,8 +2,10 @@
 
 import pytest
 
-from eightblocks.cli import _build_parser, main, parse_machine_report
+from eightblocks import experiments
+from eightblocks.cli import _parse_args, main, parse_machine_report
 from eightblocks.errors import InvalidInputError
+from eightblocks.solver import SearchResult
 
 DEMO_SPARSE = """\
 # nine cubes
@@ -154,15 +156,31 @@ def test_search_budget_timeout_exits_4(capsys):
 
 def test_jobs_env_default(monkeypatch):
     monkeypatch.setenv("EIGHTBLOCKS_JOBS", "3")
-    args = _build_parser().parse_args(
-        ["search", "existence", "--solutions", "1,2"]
-    )
+    args = _parse_args(["search", "existence", "--solutions", "1,2"])
     assert args.jobs == 3
     monkeypatch.delenv("EIGHTBLOCKS_JOBS")
-    args = _build_parser().parse_args(
-        ["search", "existence", "--solutions", "1,2", "--jobs", "2"]
-    )
+    args = _parse_args(["search", "existence", "--solutions", "1,2", "--jobs", "2"])
     assert args.jobs == 2
+
+
+def test_jobs_env_read_on_every_call(monkeypatch, capsys):
+    # the parser is built once per process; the variable is not baked into it
+    seen = []
+
+    def run_min_universal(options):
+        seen.append(options.jobs)
+        return SearchResult(
+            status="timeout", objective=None, witness=None, nodes=0, prunes={},
+            wall_time=0.0, complete=False,
+        )
+
+    monkeypatch.setattr(experiments, "run_min_universal", run_min_universal)
+    for jobs in ("3", "2"):
+        monkeypatch.setenv("EIGHTBLOCKS_JOBS", jobs)
+        assert main(["search", "min-universal", "--machine"]) == 4
+    monkeypatch.delenv("EIGHTBLOCKS_JOBS")
+    assert main(["search", "min-universal", "--machine"]) == 4
+    assert seen == [3, 2, 1]
 
 
 @pytest.mark.parametrize(
@@ -193,6 +211,21 @@ def test_bad_input_exits_without_traceback(monkeypatch, capsys, env_jobs, argv, 
         rc = exc.code
     assert rc == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_record_exits_1(tmp_path, capsys):
+    path = tmp_path / "run.jsonl"
+    argv = ["search", "max-infeasible", "--size", "24", "--mode", "capped",
+            "--checkpoint", str(path), "--split-depth", "1"]
+    # a budget of no nodes leaves the header and timeout records
+    assert main([*argv, "--node-budget", "0", "--machine"]) == 4
+    with path.open("a") as fh:
+        fh.write('{"index": 0}\n')
+    last = len(path.read_text().splitlines())
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"line {last}: missing status" in err and "Traceback" not in err
 
 
 def test_scan_row_machine(capsys):

@@ -10,7 +10,7 @@ from eightblocks.errors import CertificateError, InvalidInputError
 from eightblocks.graphs import deficient_right_set, maximum_bipartite_matching
 from eightblocks.instances import Instance
 from eightblocks.symmetry import orbit_vectors
-from eightblocks.varieties import CELL_INDEX, CELLS, COMPATIBLE_CAP, OWN_CAP
+from eightblocks.varieties import CELL_INDEX, CELLS, COMPATIBLE_CAP, OWN_CAP, Catalog
 
 DEMO = Instance.from_pairs(
     {(1, 2): 2, (2, 6): 1, (3, 5): 1, (3, 6): 1, (5, 6): 2, (6, 4): 1, (6, 5): 1}
@@ -277,6 +277,54 @@ def test_supply_screen_keeps_every_verdict(cat, counts):
 def test_supply_screen_on_census_orbits(cat):
     for vec, _ in itertools.islice(orbit_vectors(8, cat), 0, None, 25):
         assert list(co.composable_targets(vec, cat)) == _unscreened_targets(vec, cat)
+
+
+# a few cells with counts up to 12: own counts reach 8 and more, where
+# the kernel answers before its tables, while sparse supports and small
+# counts keep tree components and multiple edges in play
+_KERNEL_COUNTS = st.dictionaries(
+    st.integers(0, len(CELLS) - 1),
+    st.one_of(st.integers(0, 2), st.integers(0, 12)),
+    max_size=14,
+)
+
+
+def _indexed(counts):
+    return {CELL_INDEX[c]: n for c, n in counts.items()}
+
+
+@example(counts={})
+# for target (1, 2): a four-cycle beside four one-node trees, which four
+# own cubes just meet, and a double edge past one byte beside six
+@example(counts=_indexed({(1, 2): 4, (2, 3): 1, (2, 4): 1, (5, 6): 1, (6, 5): 1}))
+@example(counts=_indexed({(1, 2): 6, (2, 3): 300}))
+@given(_KERNEL_COUNTS)
+def test_bitmask_kernel_matches_tree_count(cat, counts):
+    vec = _vector(counts)
+    for t in range(len(CELLS)):
+        assert co.composable_from_vector(vec, t, cat) == (
+            vec[t] >= co.treecount_from_vector(vec, t, cat)
+        )
+
+
+def test_kernel_tables_built_once_per_catalog(monkeypatch):
+    built = []
+    make = co._tree_tables
+
+    def counted(cat, t):
+        built.append((cat, t))
+        return make(cat, t)
+
+    monkeypatch.setattr(co, "_tree_tables", counted)
+    fresh = Catalog()
+    assert fresh.tree_tables == [None] * len(CELLS)  # nothing built up front
+    rng = random.Random(3)
+    for _ in range(3):
+        for _ in range(50):
+            vec = [rng.choice((0, 0, 1, 2)) for _ in CELLS]
+            for t in range(len(CELLS)):
+                co.composable_from_vector(vec, t, fresh)
+        assert built == [(fresh, t) for t in range(len(CELLS))]
 
 
 def _uncapped_adjacency(instance, target, cat):

@@ -209,6 +209,27 @@ def test_checkpoint_tolerates_torn_line(tmp_path, cat):
     assert res.status == "unsat"
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"index": 0}',  # parseable, but missing keys
+        '{"index": 8, "status": "unsat", "nodes": 1, "prunes": {}, "witness": null}',
+        '{"index": -1, "status": "unsat", "nodes": 1, "prunes": {}, "witness": null}',
+        '[0, "unsat", 1, {}, null]',
+        '{"index": 0, "status": "done", "nodes": 1, "prunes": {}, "witness": null}',
+        '{"index": 0, "status": "sat", "nodes": 1, "prunes": {}, "witness": [1, 2]}',
+    ],
+)
+def test_checkpoint_rejects_malformed_records(tmp_path, cat, record):
+    path = tmp_path / "run.jsonl"
+    model = _row_model(24, 1, cat)
+    checkpointed_solve(model, path, split_depth=1, cat=cat)
+    header = path.read_text().splitlines()[0]
+    path.write_text(f"{header}\n{record}\n")
+    with pytest.raises(ExperimentError, match="line 2"):
+        checkpointed_solve(model, path, split_depth=1, cat=cat)
+
+
 @functools.cache
 def _finished_checkpoint():
     """Bytes of a finished checkpoint of eight row-model subproblems."""
