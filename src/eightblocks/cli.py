@@ -20,11 +20,12 @@ from pathlib import Path
 
 from . import experiments
 from .composability import (
+    arrangement_from_report,
     classify_solutions,
-    extract_arrangement,
-    hall_witness,
+    max_matching,
     solution_set,
     verify_arrangement,
+    witness_from_report,
 )
 from .errors import (
     EightBlocksError,
@@ -183,12 +184,15 @@ def _cmd_table(args) -> int:
 def _cmd_check(args) -> int:
     try:
         text = Path(args.instance).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
         return 3
     instance = parse_instance(text)
     cat = catalog()
-    solutions = sorted(solution_set(instance, cat, oracle="matching"))
+    # one matching per target gives the verdict and either certificate
+    reports = [max_matching(instance, cell, cat) for cell in CELLS]
+    composed = [r for r in reports if r.composable]  # in cell order, so sorted
+    solutions = [r.target for r in composed]
     if sorted(solution_set(instance, cat, oracle="treecount")) != solutions:
         raise EightBlocksError("internal: oracle disagreement on this instance")
     records = [
@@ -198,8 +202,9 @@ def _cmd_check(args) -> int:
         ("solution_set", [list(c) for c in solutions]),
     ]
     if args.certificates:
-        for cell in solutions:
-            arrangement = extract_arrangement(instance, cell, cat)
+        for report in composed:
+            cell = report.target
+            arrangement = arrangement_from_report(report, cat)
             verify_arrangement(instance, cell, arrangement, cat)
             records.append(
                 (
@@ -216,10 +221,11 @@ def _cmd_check(args) -> int:
                 )
             )
     if args.witnesses:
-        for cell in CELLS:
-            if cell in solutions:
+        for report in reports:
+            if report.composable:
                 continue
-            w = hall_witness(instance, cell, cat)
+            cell = report.target
+            w = witness_from_report(instance, report, cat)
             records.append(
                 (
                     f"blocked_{cell[0]}_{cell[1]}",

@@ -12,8 +12,16 @@ Two independent routes decide this:
   number of cubes of the target variety is at least the number of tree
   components.
 
-Both routes are kept separate so they can cross-check each other.  The
-tree route has two kernels.  ``composable_from_vector``, the verdict the
+Both routes are kept separate so they can cross-check each other.  A
+matching report (``max_matching``) carries both certificates: a perfect
+matching yields the arrangement (``arrangement_from_report``), and a
+short one the violated triple subset (``hall_set``, a closure over node
+masks from the unmatched triples, and ``witness_from_report``).
+``check`` matches each target once and derives its verdict and
+whichever certificate it prints from that one report;
+``extract_arrangement`` and ``hall_witness`` are the per-target
+wrappers.  The matching stops as soon as all eight triples are held.
+The tree route has two kernels.  ``composable_from_vector``, the verdict the
 solver, the census, the row scan and the small-size sweep ask for, runs
 the component closure on bitmasks through per-target tables that each
 catalog builds on a target's first use, and builds no multigraph.
@@ -43,7 +51,6 @@ from . import cubes
 from .cubes import Coloring, Triple
 from .errors import CertificateError, InvalidInputError
 from .graphs import (
-    deficient_right_set,
     maximum_bipartite_matching,
     tree_component_count as _tree_count_raw,
 )
@@ -174,27 +181,74 @@ def usable_cube_count(
     return total
 
 
+def hall_set(report: MatchingReport, cat: Catalog) -> int:
+    """Triple nodes of the deficient set, as a node mask; 0 if composable.
+
+    The alternating-path closure from the unmatched triple nodes, run on
+    8-bit node masks.  Every copy of a cell reaches the same nodes (all
+    eight for the target's own cubes, the shared pair for a compatible
+    cell), so once a cell's nodes meet the reached set, every node its
+    matched copies hold is reached too.  The reached nodes N satisfy
+    |N| > usable cubes, since every cube reaching N holds one of them.
+    """
+    t = _cell_index(report.target)
+    free = 0
+    held: dict[tuple[int, int], int] = {}  # cell -> nodes its copies hold
+    for v, assigned in enumerate(report.matched):
+        if assigned is None:
+            free |= 1 << v
+        else:
+            held[assigned[0]] = held.get(assigned[0], 0) | 1 << v
+    pairs = cat.shared_pairs[t]
+    reach = []  # (nodes the cell's copies reach, nodes they hold)
+    for cell, nodes in held.items():
+        k = CELL_INDEX[cell]
+        if k == t:
+            reach.append((0xFF, nodes))
+        else:
+            a, b = pairs[k]
+            reach.append((1 << a | 1 << b, nodes))
+    reached = free
+    while True:
+        grown = reached
+        for cell_nodes, nodes in reach:
+            if cell_nodes & grown:
+                grown |= nodes
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def witness_from_report(
+    instance: Instance, report: MatchingReport, cat: Catalog
+) -> HallWitness | None:
+    """The Hall witness of a matching report, or None when it is perfect.
+
+    The triples are the report's ``hall_set``; their usable cubes are
+    recounted on the instance, and a subset that fails to violate the
+    count condition raises CertificateError.
+    """
+    if report.composable:
+        return None
+    mask = hall_set(report, cat)
+    nodes = cat.triple_nodes[_cell_index(report.target)]
+    subset = frozenset(nodes[v] for v in range(8) if mask >> v & 1)
+    witness = HallWitness(
+        target=report.target,
+        triples=subset,
+        usable_cubes=usable_cube_count(instance, report.target, subset, cat),
+    )
+    if not witness.violated:
+        raise CertificateError("internal: deficient set fails to violate the count condition")
+    return witness
+
+
 def hall_witness(
     instance: Instance, target: tuple[int, int], cat: Catalog | None = None
 ) -> HallWitness | None:
     """A violated triple subset, or None when the target is composable."""
     cat = cat or catalog()
-    t = _cell_index(target)
-    cubes_list, adjacency = bipartite_adjacency(instance, target, cat)
-    size, match_of_right = maximum_bipartite_matching(adjacency, 8)
-    if size == 8:
-        return None
-    deficient = deficient_right_set(adjacency, 8, match_of_right)
-    nodes = cat.triple_nodes[t]
-    subset = frozenset(nodes[v] for v in deficient)
-    witness = HallWitness(
-        target=tuple(target),
-        triples=subset,
-        usable_cubes=usable_cube_count(instance, target, subset, cat),
-    )
-    if not witness.violated:
-        raise CertificateError("internal: deficient set fails to violate the count condition")
-    return witness
+    return witness_from_report(instance, max_matching(instance, target, cat), cat)
 
 
 def hall_satisfied(
@@ -580,37 +634,50 @@ class Arrangement:
     placements: tuple[Placement, ...]
 
 
-def extract_arrangement(
-    instance: Instance, target: tuple[int, int], cat: Catalog | None = None
-) -> Arrangement:
-    """Concrete witness arrangement for a composable target.
+def _node_corners(cat: Catalog, target_index: int) -> tuple:
+    """Build and store the target's ``(triple node, corner)`` table.
 
-    The matching assigns one cube per corner triple; each cube is then
-    rotated so its three corner faces coincide with the solid's colors,
-    which pins the orientation completely.  Raises CertificateError when
-    the target is not composable.
+    Each of the eight triple nodes shows at one corner of the target's
+    solid; the entries are ordered by corner, largest first, which is
+    the order an arrangement lists its placements in.
     """
-    cat = cat or catalog()
-    report = max_matching(instance, target, cat)
-    if not report.composable:
-        raise CertificateError(f"target {tuple(target)} is not composable here")
-    solid = cat.variety(*target).coloring
-    nodes = cat.triple_nodes[_cell_index(target)]
-    corner_of_triple: dict[Triple, tuple[int, int, int]] = {}
-    for signs in cubes.CORNER_SIGNS:
-        corner_of_triple[cubes.corner_triple(solid, signs)] = signs
+    solid = cat.varieties[target_index].coloring
+    corner_of_triple = {
+        cubes.corner_triple(solid, signs): signs for signs in cubes.CORNER_SIGNS
+    }
+    table = tuple(
+        sorted(
+            enumerate(corner_of_triple[tr] for tr in cat.triple_nodes[target_index]),
+            key=lambda entry: entry[1],
+            reverse=True,
+        )
+    )
+    cat.node_corners[target_index] = table
+    return table
 
+
+def arrangement_from_report(report: MatchingReport, cat: Catalog) -> Arrangement:
+    """The arrangement a perfect matching report describes.
+
+    Each cube goes to the corner of the triple node it is matched to and
+    is rotated so its three corner faces coincide with the solid's
+    colors, which pins the orientation completely.  Raises
+    CertificateError when the report is not a perfect matching.
+    """
+    if not report.composable:
+        raise CertificateError(f"target {report.target} is not composable here")
+    t = _cell_index(report.target)
+    solid = cat.varieties[t].coloring
     placements = []
-    for node_idx, assigned in enumerate(report.matched):
-        triple = nodes[node_idx]
-        signs = corner_of_triple[triple]
-        source, copy = assigned
+    for node_idx, signs in cat.node_corners[t] or _node_corners(cat, t):
+        source, copy = report.matched[node_idx]
         base = cat.variety(*source).coloring
         # the slots of the cube that carry the corner's three colors
         # name the one rotation that can bring them there
         held = tuple(base.index(solid[s]) for s in cubes.CORNER_SLOTS[signs])
         rot = cubes.CORNER_ROTATIONS.get((signs, held))
         if rot is None:
+            triple = cat.triple_nodes[t][node_idx]
             raise CertificateError(
                 f"internal: matched cube {source} cannot realize {triple} at {signs}"
             )
@@ -618,10 +685,20 @@ def extract_arrangement(
         placements.append(
             Placement(corner=signs, source=source, copy=copy, coloring=oriented)
         )
-    placements.sort(key=lambda p: p.corner, reverse=True)
     return Arrangement(
-        target=tuple(target), solid_coloring=solid, placements=tuple(placements)
+        target=report.target, solid_coloring=solid, placements=tuple(placements)
     )
+
+
+def extract_arrangement(
+    instance: Instance, target: tuple[int, int], cat: Catalog | None = None
+) -> Arrangement:
+    """Concrete witness arrangement for a composable target.
+
+    Raises CertificateError when the target is not composable.
+    """
+    cat = cat or catalog()
+    return arrangement_from_report(max_matching(instance, target, cat), cat)
 
 
 def verify_arrangement(

@@ -24,18 +24,19 @@ from functools import partial
 from pathlib import Path
 
 from .composability import (
+    arrangement_from_report,
     bulk_target_verdicts,
     composable_from_vector,
     composable_targets,
     count_bound,
-    extract_arrangement,
-    hall_witness,
     is_composable_matching,
     is_composable_treecount,
+    max_matching,
     solution_set,
     universal_lower_bound,
     usable_cube_count,
     verify_arrangement,
+    witness_from_report,
 )
 from .errors import (
     CertificateError,
@@ -138,7 +139,8 @@ def verify_reference_facts(cat: Catalog | None = None) -> ReferenceReport:
         "both oracles",
     )
     add("demo-size", demo.size == 9, f"size {demo.size}")
-    demo_set = solution_set(demo, cat, oracle="matching")
+    demo_reports = [max_matching(demo, c, cat) for c in CELLS]
+    demo_set = frozenset(r.target for r in demo_reports if r.composable)
     add(
         "demo-oracle-agreement",
         demo_set == solution_set(demo, cat, oracle="treecount"),
@@ -146,30 +148,34 @@ def verify_reference_facts(cat: Catalog | None = None) -> ReferenceReport:
     )
     arranged = True
     arr_detail = "arrangements verified"
-    for target in sorted(demo_set):
+    for report in demo_reports:
+        if not report.composable:
+            continue
         try:
-            verify_arrangement(demo, target, extract_arrangement(demo, target, cat), cat)
+            arrangement = arrangement_from_report(report, cat)
+            verify_arrangement(demo, report.target, arrangement, cat)
         except CertificateError as exc:
             arranged = False
-            arr_detail = f"{target}: {exc}"
+            arr_detail = f"{report.target}: {exc}"
             break
     add("demo-arrangements", arranged, arr_detail)
 
     inf = MAX_INFEASIBLE_23
     add("infeasible-23-size", inf.size == 23, f"size {inf.size}")
+    inf_reports = [max_matching(inf, c, cat) for c in CELLS]
     add(
         "infeasible-23-empty",
-        not solution_set(inf, cat, oracle="matching")
+        not any(r.composable for r in inf_reports)
         and not solution_set(inf, cat, oracle="treecount"),
         "both oracles",
     )
     halls_ok = True
     hall_detail = "violated subset for every target"
-    for target in CELLS:
-        w = hall_witness(inf, target, cat)
+    for report in inf_reports:
+        w = witness_from_report(inf, report, cat)
         if w is None or not w.violated:
             halls_ok = False
-            hall_detail = f"no violated subset at {target}"
+            hall_detail = f"no violated subset at {report.target}"
             break
     add("infeasible-23-witnesses", halls_ok, hall_detail)
 
@@ -322,13 +328,14 @@ def oracle_agreement(
         chosen = rng.sample(CELLS, k)
         inst = Instance.from_pairs((c, rng.randint(1, 8)) for c in chosen)
         target = rng.choice(CELLS)
-        by_matching = is_composable_matching(inst, target, cat)
+        report = max_matching(inst, target, cat)
+        by_matching = report.composable
         if by_matching != is_composable_treecount(inst, target, cat):
             rand_disagreements += 1
         if count_bound(inst, target, cat) >= 8 and not by_matching:
             rand_bound_violations += 1
         if not by_matching:
-            w = hall_witness(inst, target, cat)
+            w = witness_from_report(inst, report, cat)
             recount = (
                 usable_cube_count(inst, target, w.triples, cat) if w else -1
             )
@@ -645,7 +652,9 @@ def checkpointed_solve(
     Budgets in `options` cover the whole call, as for `solve`;
     subproblems recorded as timed out are searched again on resume.
     The first satisfiable subproblem in split order ends the run, and
-    its witness is reported in the model's canonical form.
+    its witness is reported in the model's canonical form.  A checkpoint
+    path that cannot be read or appended to (a directory, a file in a
+    missing directory) raises InvalidInputError naming it.
     """
     if model.objective is not None:
         raise InvalidInputError("checkpointing covers decision models only")
@@ -663,7 +672,10 @@ def checkpointed_solve(
     # the next record is appended, so it never merges with one
     done: dict[int, tuple] = {}
     keep = 0
-    data = path.read_bytes() if path.exists() else b""
+    try:
+        data = path.read_bytes() if path.exists() else b""
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     head = (json.dumps(header) + "\n").encode()
     if data and not head.startswith(data):
         first, newline, rest = data.partition(b"\n")
@@ -695,7 +707,11 @@ def checkpointed_solve(
                     done[rec["index"]] = (rec["status"], rec["witness"], stats)
             keep += len(line)
 
-    with path.open("a") as fh:
+    try:
+        fh = path.open("a")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write checkpoint {path}: {exc.strerror}") from None
+    with fh:
         fh.truncate(keep)
         if not keep:
             fh.write(json.dumps(header) + "\n")

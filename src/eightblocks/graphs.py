@@ -23,68 +23,33 @@ def maximum_bipartite_matching(
 
     adjacency[u] lists right nodes reachable from left node u; left nodes are
     processed in index order and neighbours in listed order, so the result is
-    deterministic.  Returns (size, match_of_right) where match_of_right[v] is
-    the matched left node or -1.
+    deterministic.  The loop stops once every right node is matched: an
+    augmenting path ends at a free right node, so no later left node could
+    change the matching.  Returns (size, match_of_right) where
+    match_of_right[v] is the matched left node or -1.
     """
     match_of_right = [-1] * right_size
+    seen = 0  # right nodes visited by the current search, as a bitmask
 
-    def augment(u: int, seen: list[bool]) -> bool:
+    def augment(u: int) -> bool:
+        nonlocal seen
         for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_of_right[v] == -1 or augment(match_of_right[v], seen):
+            if not seen >> v & 1:
+                seen |= 1 << v
+                w = match_of_right[v]
+                if w == -1 or augment(w):
                     match_of_right[v] = u
                     return True
         return False
 
     size = 0
     for u in range(len(adjacency)):
-        if augment(u, [False] * right_size):
+        if size == right_size:
+            break
+        seen = 0
+        if augment(u):
             size += 1
     return size, match_of_right
-
-
-def deficient_right_set(
-    adjacency: Sequence[Sequence[int]],
-    right_size: int,
-    match_of_right: Sequence[int],
-) -> list[int]:
-    """Right nodes whose neighbourhood is smaller than themselves.
-
-    Runs the alternating-path argument from the unmatched right nodes of a
-    maximum matching: follow matching edges right-to-left and arbitrary edges
-    left-to-right.  The reachable right nodes R satisfy |N(R)| = |R| minus the
-    number of unmatched seeds, hence witness a failed matching.  Returns []
-    when the matching saturates the right side.
-    """
-    matched_right_of_left: dict[int, list[int]] = {}
-    for v, u in enumerate(match_of_right):
-        if u != -1:
-            matched_right_of_left.setdefault(u, []).append(v)
-
-    left_of_right: dict[int, list[int]] = {v: [] for v in range(right_size)}
-    for u, nbrs in enumerate(adjacency):
-        for v in nbrs:
-            left_of_right[v].append(u)
-
-    seeds = [v for v in range(right_size) if match_of_right[v] == -1]
-    if not seeds:
-        return []
-    reached_right = set(seeds)
-    reached_left: set[int] = set()
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in left_of_right[v]:
-                if u not in reached_left:
-                    reached_left.add(u)
-                    for w in matched_right_of_left.get(u, ()):
-                        if w not in reached_right:
-                            reached_right.add(w)
-                            nxt.append(w)
-        frontier = nxt
-    return sorted(reached_right)
 
 
 def tree_component_count(

@@ -172,6 +172,9 @@ class Catalog:
         # tree_tables[t]: the bitmask tree kernel's tables for target t,
         # built by composability on the target's first use, not here
         self.tree_tables: list[tuple | None] = [None] * n
+        # node_corners[t]: (triple node, corner) pairs of target t, in
+        # placement order, built by composability on first use
+        self.node_corners: list[tuple | None] = [None] * n
 
     # ------------------------------------------------------------------
     # lookups

@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, machine records, determinism."""
 
+import hashlib
+import random
+
 import pytest
 
-from eightblocks import experiments
+from eightblocks import composability, experiments
 from eightblocks.cli import _parse_args, main, parse_machine_report
 from eightblocks.errors import InvalidInputError
 from eightblocks.solver import SearchResult
+from eightblocks.varieties import CELLS
 
 DEMO_SPARSE = """\
 # nine cubes
@@ -87,6 +91,20 @@ def test_check_certificates_and_witnesses(demo_file, capsys):
     assert len(blocked) == 27
     w23 = rec["blocked_2_3"]
     assert w23["usable_cubes"] < len(w23["triples"])
+
+
+def test_check_matches_each_target_once(demo_file, monkeypatch, capsys):
+    calls = []
+    matching = composability.maximum_bipartite_matching
+
+    def counted(adjacency, right_size):
+        calls.append(right_size)
+        return matching(adjacency, right_size)
+
+    monkeypatch.setattr(composability, "maximum_bipartite_matching", counted)
+    assert main(["check", demo_file, "--certificates", "--witnesses",
+                 "--machine"]) == 0
+    assert calls == [8] * len(CELLS)
 
 
 def test_check_missing_file_exits_3(tmp_path):
@@ -183,6 +201,9 @@ def test_jobs_env_read_on_every_call(monkeypatch, capsys):
     assert seen == [3, 2, 1]
 
 
+_CAPPED_24 = ["search", "max-infeasible", "--size", "24", "--mode", "capped"]
+
+
 @pytest.mark.parametrize(
     "env_jobs, argv, code",
     [
@@ -198,19 +219,33 @@ def test_jobs_env_read_on_every_call(monkeypatch, capsys):
         # flags a subcommand would ignore are not accepted
         (None, ["scan", "row-infeasible", "--node-budget", "5"], 2),
         (None, ["census", "octets", "--time-budget", "5"], 2),
+        # files under {tmp}: an instance in UTF-16, and checkpoint paths
+        # that are a directory or sit in a missing one
+        (None, ["check", "{tmp}/utf16.txt"], 3),
+        (None, [*_CAPPED_24, "--checkpoint", "{tmp}", "--node-budget", "0"], 2),
+        (None, [*_CAPPED_24, "--checkpoint", "{tmp}/missing/run.jsonl",
+                "--node-budget", "0"], 2),
     ],
 )
-def test_bad_input_exits_without_traceback(monkeypatch, capsys, env_jobs, argv, code):
+def test_bad_input_exits_without_traceback(
+    monkeypatch, capsys, tmp_path, env_jobs, argv, code
+):
     if env_jobs is None:
         monkeypatch.delenv("EIGHTBLOCKS_JOBS", raising=False)
     else:
         monkeypatch.setenv("EIGHTBLOCKS_JOBS", env_jobs)
+    (tmp_path / "utf16.txt").write_bytes("1 2 3\n".encode("utf-16"))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    named = [arg for arg in argv if arg.startswith(str(tmp_path))]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects the value
         rc = exc.code
     assert rc == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for path in named:  # a file that cannot be used is named
+        assert err.startswith(f"error: cannot ") and path in err
 
 
 def test_malformed_checkpoint_record_exits_1(tmp_path, capsys):
@@ -303,3 +338,38 @@ def test_check_output_does_not_depend_on_large_counts(tmp_path, capsys):
     assert kept[20] == kept[2_000_000]
     assert any(key.startswith("arrangement_") for key in kept[20])
     assert any(key.startswith("blocked_") for key in kept[20])
+
+
+def _pinned_instances():
+    rng = random.Random(20261018)
+    out = []
+    for k in range(200):
+        if k % 40 == 7:  # five large instances
+            out.append({c: rng.randint(80, 90) for c in rng.sample(CELLS, 6)})
+        else:
+            cells = rng.sample(CELLS, rng.randint(1, 12))
+            out.append({c: rng.randint(1, 12) for c in cells})
+    return out
+
+
+def test_check_output_pinned(tmp_path, capsys):
+    """Every verdict, arrangement and Hall witness of 200 seeded instances.
+
+    The digest is the sha256 of the concatenated stdout of
+    ``check <file> --certificates --witnesses --machine`` over the
+    instances in order, each written as sorted ``i j count`` lines and
+    the outputs encoded as UTF-8.  It was computed with this loop at
+    commit 01f5156, where ``check`` matched each target twice (once for
+    the verdict, once more for the certificate), and holds unchanged
+    with one matching per target.
+    """
+    digest = hashlib.sha256()
+    for k, counts in enumerate(_pinned_instances()):
+        path = tmp_path / f"instance-{k:03d}.txt"
+        path.write_text("".join(f"{i} {j} {n}\n" for (i, j), n in sorted(counts.items())))
+        assert main(["check", str(path), "--certificates", "--witnesses",
+                     "--machine"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "c930bb092681b1117dc4bbab97cae4cc3b5b6d4143ddd72e73cdffe8fbbdb9eb"
+    )

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eightblocks import composability as co
+from eightblocks import composability as co, cubes
 from eightblocks.errors import CertificateError, InvalidInputError
-from eightblocks.graphs import deficient_right_set, maximum_bipartite_matching
+from eightblocks.graphs import maximum_bipartite_matching
 from eightblocks.instances import Instance
 from eightblocks.symmetry import orbit_vectors
 from eightblocks.varieties import CELL_INDEX, CELLS, COMPATIBLE_CAP, OWN_CAP, Catalog
+from matching_reference import deficient_right_set, full_matching
 
 DEMO = Instance.from_pairs(
     {(1, 2): 2, (2, 6): 1, (3, 5): 1, (3, 6): 1, (5, 6): 2, (6, 4): 1, (6, 5): 1}
@@ -374,3 +375,44 @@ def test_capped_matching_graph_matches_uncapped_reference(cat, counts, target):
         assert witness.usable_cubes == sum(
             1 for nbrs in adjacency if any(v in deficient for v in nbrs)
         )
+
+
+@example(counts=_indexed({(1, 2): 9}))
+@example(counts=_indexed({(1, 2): 7, (1, 3): 7, (1, 4): 7, (1, 5): 1, (1, 6): 1}))
+@given(_KERNEL_COUNTS)
+def test_certificates_from_one_matching(cat, counts):
+    # every target; own counts of eight and more saturate the triples
+    # before the compatible copies are reached
+    inst = Instance.from_vector(_vector(counts))
+    for target in CELLS:
+        adjacency = co.bipartite_adjacency(inst, target, cat)[1]
+        size, match_of_right = full_matching(adjacency, 8)
+        assert maximum_bipartite_matching(adjacency, 8) == (size, match_of_right)
+        report = co.max_matching(inst, target, cat)
+        mask = co.hall_set(report, cat)
+        deficient = [v for v in range(8) if mask >> v & 1]
+        assert deficient == deficient_right_set(adjacency, 8, match_of_right)
+        if report.composable:
+            arrangement = co.arrangement_from_report(report, cat)
+            co.verify_arrangement(inst, target, arrangement, cat)
+            assert co.witness_from_report(inst, report, cat) is None
+        else:
+            witness = co.witness_from_report(inst, report, cat)
+            nodes = cat.triple_nodes[CELL_INDEX[target]]
+            assert witness.triples == frozenset(nodes[v] for v in deficient)
+            recount = co.usable_cube_count(inst, target, witness.triples, cat)
+            assert recount == witness.usable_cubes < len(witness.triples)
+            with pytest.raises(CertificateError):
+                co.arrangement_from_report(report, cat)
+
+
+def test_corner_table_built_on_first_use():
+    fresh = Catalog()
+    assert fresh.node_corners == [None] * len(CELLS)  # nothing built up front
+    for target in sorted(DEMO_SOLUTIONS):
+        co.extract_arrangement(DEMO, target, fresh)
+    built = [CELLS[t] for t, table in enumerate(fresh.node_corners) if table]
+    assert built == sorted(DEMO_SOLUTIONS)
+    table = fresh.node_corners[CELL_INDEX[(1, 2)]]
+    assert sorted(node for node, _ in table) == list(range(8))
+    assert [corner for _, corner in table] == sorted(cubes.CORNER_SIGNS, reverse=True)

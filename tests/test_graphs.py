@@ -1,11 +1,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eightblocks.graphs import (
-    deficient_right_set,
-    maximum_bipartite_matching,
-    tree_component_count,
-)
+from eightblocks.graphs import maximum_bipartite_matching, tree_component_count
+from matching_reference import deficient_right_set, full_matching
 
 
 def test_perfect_matching_on_complete_graph():
@@ -39,6 +36,38 @@ def test_deficient_set_violates_the_count_condition():
         u for u, nbrs in enumerate(adjacency) if any(v in deficient for v in nbrs)
     ]
     assert len(deficient) > len(neighbors)
+
+
+@st.composite
+def _bipartite_graphs(draw):
+    right = draw(st.integers(0, 8))
+    node = st.integers(0, right - 1) if right else st.nothing()
+    adjacency = draw(
+        st.lists(st.lists(node, max_size=right, unique=True), max_size=20)
+    )
+    return adjacency, right
+
+
+@given(_bipartite_graphs())
+def test_early_stop_keeps_the_full_loop_matching(graph):
+    # once the right side is saturated no later left node can augment
+    adjacency, right = graph
+    assert maximum_bipartite_matching(adjacency, right) == full_matching(
+        adjacency, right
+    )
+
+
+def test_matching_stops_once_the_right_side_is_full():
+    visited = []
+
+    class Logged(list):
+        def __getitem__(self, u):
+            visited.append(u)
+            return list.__getitem__(self, u)
+
+    adjacency = Logged([[0], [1], [0, 1], [1]])
+    assert maximum_bipartite_matching(adjacency, 2) == (2, [0, 1])
+    assert visited == [0, 1]
 
 
 def test_tree_components_empty_graph():
