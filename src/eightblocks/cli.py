@@ -267,6 +267,13 @@ def _cmd_search_min_universal(args) -> int:
     return _finish_search(result, args)
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _cmd_census(args) -> int:
     report = experiments.octet_census(jobs=args.jobs)
     records = [
@@ -280,7 +287,7 @@ def _cmd_census(args) -> int:
         records.append(("wall_time", round(report.wall_time, 3)))
     _emit(records, args.machine, sys.stdout)
     if args.csv:
-        Path(args.csv).write_text(experiments.census_csv(report))
+        _write_file(args.csv, experiments.census_csv(report))
     return 0
 
 
@@ -323,7 +330,7 @@ def _cmd_export(args) -> int:
     else:
         payload = export_neutral(model)
     if args.out and args.out != "-":
-        Path(args.out).write_text(payload)
+        _write_file(args.out, payload)
     else:
         sys.stdout.write(payload)
     return 0

@@ -83,9 +83,13 @@ class MatchingReport:
         return self.size == 8
 
 
+#: neighbour list of a target cube: every triple node of the target
+_ALL_NODES = tuple(range(8))
+
+
 def bipartite_adjacency(
     instance: Instance, target: tuple[int, int], cat: Catalog | None = None
-) -> tuple[list[tuple[tuple[int, int], int]], list[list[int]]]:
+) -> tuple[list[tuple[tuple[int, int], int]], list[tuple[int, ...]]]:
     """Usable cubes and their triple-node adjacency for one target.
 
     Cubes of the target variety reach all eight nodes, compatible cubes
@@ -102,19 +106,18 @@ def bipartite_adjacency(
     cat = cat or catalog()
     t = _cell_index(target)
     cubes_out: list[tuple[tuple[int, int], int]] = []
-    adjacency: list[list[int]] = []
+    adjacency: list[tuple[int, ...]] = []
     vec = instance.vector()
     for k, n in enumerate(vec):
         if not n:
             continue
         if k == t:
-            nbrs = list(range(8))
+            nbrs = _ALL_NODES
             cap = OWN_CAP
         else:
-            pair = cat.shared_pairs[t][k]
-            if pair is None:
+            nbrs = cat.shared_pairs[t][k]
+            if nbrs is None:
                 continue
-            nbrs = list(pair)
             cap = COMPATIBLE_CAP
         for copy in range(min(n, cap)):
             cubes_out.append((CELLS[k], copy))

@@ -18,10 +18,16 @@ lower bounds, so only a raised ``lo`` of its own or capped cells
 queues it.  A raised ``lo`` also marks the forbidden oracles of the
 targets the cell serves, and a lowered ``hi`` the required ones.  Each
 pass runs the dirty rows in order, then the queued cap lines, then the
-dirty required and forbidden oracles, until no row is dirty.  The row
-flags and the cap queue are not trailed: every propagation drains them,
-or clears them on a contradiction, so a node left by backtracking is
-back at its parent's fixpoint with nothing pending.
+dirty required and forbidden oracles, until no row is dirty.
+
+Backtracking copies instead of trailing.  A branching node saves its
+fixpoint once: both bounds, the oracles' incremental sums and the
+rows' interval sums.  It puts that state back between children, so a
+child never restores itself; its parent does.  The dirty rows, the cap
+queue and the two oracle dirty-flag lists are pending work, never
+saved: every propagation drains all four, or clears them on a
+contradiction, so a restored fixpoint has nothing pending.  Nothing is
+trailed.
 
 Symmetry handling is dominance-only: each admissible table symmetry
 compares the assignment with its image cell by cell, and a branch dies
@@ -238,7 +244,6 @@ class _Search:
         self.c = comp
         self.lo = list(comp.lo0)
         self.hi = list(comp.hi0)
-        self.trail: list[tuple[int, int, int]] = []
         self.stats: Counter[str] = Counter()
         self.req_sum_hi = [
             sum(self.hi[k] for k in comp.usable[t]) for t in comp.req_targets
@@ -246,12 +251,12 @@ class _Search:
         self.forb_sum_lo = [
             sum(self.lo[k] for k in comp.usable[t]) for t in comp.forb_targets
         ]
-        self.req_dirty = [True] * len(comp.req_targets)
-        self.forb_dirty = [True] * len(comp.forb_targets)
         self.slo = [sum(self.lo[k] for k in idxs) for idxs, _, _ in comp.linear]
         self.shi = [sum(self.hi[k] for k in idxs) for idxs, _, _ in comp.linear]
-        # pending work; every _propagate call empties both, so neither
-        # is trailed
+        # pending work; every _propagate call empties all four, so none
+        # is saved with a node's state
+        self.req_dirty = [True] * len(comp.req_targets)
+        self.forb_dirty = [True] * len(comp.forb_targets)
         self.row_dirty = [True] * len(comp.linear)
         self.cap_queue = set(range(len(comp.cap_lines)))
         # a time.monotonic() value shared by every search of one call
@@ -260,46 +265,32 @@ class _Search:
         self.witness: tuple[int, ...] | None = None
         self.all_witnesses: set[tuple[int, ...]] | None = None
 
-    # -- trail ----------------------------------------------------------
+    # -- node state -----------------------------------------------------
 
-    def _undo(self, mark: int):
-        t = self.trail
-        c = self.c
-        while len(t) > mark:
-            kind, a, old = t.pop()
-            if kind == 0:
-                delta = old - self.lo[a]
-                self.lo[a] = old
-                for slot in c.forb_of_cell[a]:
-                    self.forb_sum_lo[slot] += delta
-                for r in c.rows_of_cell[a]:
-                    self.slo[r] += delta
-            elif kind == 1:
-                delta = old - self.hi[a]
-                self.hi[a] = old
-                for slot in c.req_of_cell[a]:
-                    self.req_sum_hi[slot] += delta
-                for r in c.rows_of_cell[a]:
-                    self.shi[r] += delta
-            elif kind == 2:
-                self.req_dirty[a] = bool(old)
-            else:
-                self.forb_dirty[a] = bool(old)
+    def _state(self) -> tuple[list[int], ...]:
+        return (
+            self.lo[:], self.hi[:], self.req_sum_hi[:],
+            self.forb_sum_lo[:], self.slo[:], self.shi[:],
+        )
+
+    def _restore(self, state: tuple[list[int], ...]):
+        # slice assignment keeps the lists that callers hold
+        (
+            self.lo[:], self.hi[:], self.req_sum_hi[:],
+            self.forb_sum_lo[:], self.slo[:], self.shi[:],
+        ) = state
 
     def _set_lo(self, k: int, v: int) -> bool:
         if v <= self.lo[k]:
             return True
         if v > self.hi[k]:
             return False
-        self.trail.append((0, k, self.lo[k]))
         delta = v - self.lo[k]
         self.lo[k] = v
         c = self.c
         for slot in c.forb_of_cell[k]:
             self.forb_sum_lo[slot] += delta
-            if not self.forb_dirty[slot]:
-                self.trail.append((3, slot, 0))
-                self.forb_dirty[slot] = True
+            self.forb_dirty[slot] = True
         for r in c.rows_of_cell[k]:
             self.slo[r] += delta
             self.row_dirty[r] = True
@@ -311,15 +302,12 @@ class _Search:
             return True
         if v < self.lo[k]:
             return False
-        self.trail.append((1, k, self.hi[k]))
         delta = v - self.hi[k]
         self.hi[k] = v
         c = self.c
         for slot in c.req_of_cell[k]:
             self.req_sum_hi[slot] += delta
-            if not self.req_dirty[slot]:
-                self.trail.append((2, slot, 0))
-                self.req_dirty[slot] = True
+            self.req_dirty[slot] = True
         for r in c.rows_of_cell[k]:
             self.shi[r] += delta
             self.row_dirty[r] = True
@@ -339,8 +327,8 @@ class _Search:
 
     def _fail(self, prune: str) -> bool:
         self.stats[prune] += 1
-        dirty = self.row_dirty
-        dirty[:] = [False] * len(dirty)
+        for dirty in (self.row_dirty, self.req_dirty, self.forb_dirty):
+            dirty[:] = [False] * len(dirty)
         self.cap_queue.clear()
         return False
 
@@ -395,7 +383,6 @@ class _Search:
                 if self.req_sum_hi[slot] < 8:
                     return self._fail("prune_counting")
                 if self.req_dirty[slot]:
-                    self.trail.append((2, slot, 1))
                     self.req_dirty[slot] = False
                     # one cube covers at most two target corners, so the
                     # capped supply must reach eight before the oracle can
@@ -405,7 +392,6 @@ class _Search:
                         return self._fail("prune_required_oracle")
             for slot, t in enumerate(c.forb_targets):
                 if self.forb_dirty[slot]:
-                    self.trail.append((3, slot, 1))
                     self.forb_dirty[slot] = False
                     if (
                         self.forb_sum_lo[slot] >= 8
@@ -500,29 +486,25 @@ class _Search:
         return range(self.lo[k], self.hi[k] + 1)
 
     def _search(self, watch: _Watch) -> bool:
-        """Returns True to stop the whole search (decision satisfied)."""
+        """Returns True to stop the whole search (decision satisfied).
+        The caller restores whatever state the node leaves."""
         self._tick()
-        mark = len(self.trail)
         if not self._propagate():
-            self._undo(mark)
             return False
         nst = self._advance(watch)
         if nst is None:
-            self._undo(mark)
             return False
         if all(self.lo[k] == self.hi[k] for k in range(N_CELLS)):
-            stop = self._leaf()
-            self._undo(mark)
-            return stop
+            return self._leaf()
         k = self._pick_var()
+        state = self._state()
         for v in self._values(k):
-            m2 = len(self.trail)
-            ok = self._set_lo(k, v) and self._set_hi(k, v)
-            if ok and self._search(nst):
-                self._undo(mark)
+            # v lies in the restored domain, so neither call can fail
+            self._set_lo(k, v)
+            self._set_hi(k, v)
+            if self._search(nst):
                 return True
-            self._undo(m2)
-        self._undo(mark)
+            self._restore(state)
         return False
 
     def _leaf(self) -> bool:

@@ -192,12 +192,6 @@ class Catalog:
     def by_coloring(self, coloring) -> Variety:
         return self.varieties[self.cell_of_coloring[cubes.validate_coloring(coloring)]]
 
-    def by_triples(self, triples) -> Variety:
-        try:
-            return self._by_triples[frozenset(triples)]
-        except KeyError:
-            raise InvalidInputError("no variety carries that triple set") from None
-
     def mirror(self, v: Variety) -> Variety:
         return self._by_triples[frozenset(cubes.mirror_triple(t) for t in v.triples)]
 
@@ -255,13 +249,6 @@ class Catalog:
         lines = []
         for v in self.varieties:
             lines.append(f"variety {v.coords[0]} {v.coords[1]} {''.join(v.coloring)}")
-        return "\n".join(lines) + "\n"
-
-    def varieties_text(self) -> str:
-        lines = []
-        for v in self.varieties:
-            triples = " ".join("".join(t) for t in sorted(v.triples))
-            lines.append(f"{v}  {''.join(v.coloring)}  {triples}")
         return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ import pytest
 from eightblocks import composability, experiments
 from eightblocks.cli import _parse_args, main, parse_machine_report
 from eightblocks.errors import InvalidInputError
+from eightblocks.instances import Instance
 from eightblocks.solver import SearchResult
 from eightblocks.varieties import CELLS
 
@@ -219,12 +220,15 @@ _CAPPED_24 = ["search", "max-infeasible", "--size", "24", "--mode", "capped"]
         # flags a subcommand would ignore are not accepted
         (None, ["scan", "row-infeasible", "--node-budget", "5"], 2),
         (None, ["census", "octets", "--time-budget", "5"], 2),
-        # files under {tmp}: an instance in UTF-16, and checkpoint paths
-        # that are a directory or sit in a missing one
+        # files under {tmp}: an instance in UTF-16, and checkpoint and
+        # export paths that are a directory or sit in a missing one
         (None, ["check", "{tmp}/utf16.txt"], 3),
         (None, [*_CAPPED_24, "--checkpoint", "{tmp}", "--node-budget", "0"], 2),
         (None, [*_CAPPED_24, "--checkpoint", "{tmp}/missing/run.jsonl",
                 "--node-budget", "0"], 2),
+        (None, ["export", "min-universal", "--format", "lp", "--out", "{tmp}"], 2),
+        (None, ["export", "min-universal", "--format", "lp",
+                "--out", "{tmp}/missing/m.lp"], 2),
     ],
 )
 def test_bad_input_exits_without_traceback(
@@ -246,6 +250,20 @@ def test_bad_input_exits_without_traceback(
     assert "Traceback" not in err
     for path in named:  # a file that cannot be used is named
         assert err.startswith(f"error: cannot ") and path in err
+
+
+def test_unwritable_census_csv_exits_2(monkeypatch, tmp_path, capsys):
+    report = experiments.CensusReport(
+        histogram=((0, 1, 1),), max_size=0,
+        example=Instance.from_vector((0,) * len(CELLS)),
+        orbit_total=1, raw_total=1, wall_time=0.0,
+    )
+    # a stub report stands in for the census, which takes seconds
+    monkeypatch.setattr(experiments, "octet_census", lambda jobs: report)
+    path = tmp_path / "missing" / "census.csv"
+    assert main(["census", "octets", "--csv", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
 
 
 def test_malformed_checkpoint_record_exits_1(tmp_path, capsys):

@@ -225,7 +225,20 @@ def test_split_subproblems_partition(cat):
 # the two benchmark searches, pinned
 
 
-def test_capped_max_infeasible_40_pinned(cat):
+def _count_oracle_calls(monkeypatch):
+    """Counter of the solver's calls to the tree oracle."""
+    calls = Counter()
+
+    def counted(vec, t, cat):
+        calls["oracle"] += 1
+        return composable_from_vector(vec, t, cat)
+
+    monkeypatch.setattr("eightblocks.solver.composable_from_vector", counted)
+    return calls
+
+
+def test_capped_max_infeasible_40_pinned(cat, monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
     res = run_max_infeasible(40, mode="capped", cat=cat)
     assert res.status == "unsat" and res.complete
     assert res.nodes == 8518
@@ -235,9 +248,11 @@ def test_capped_max_infeasible_40_pinned(cat):
         "prune_linear": 36,
         "prune_symmetry": 892,
     }
+    assert calls["oracle"] == 12739
 
 
-def test_capped_one_min_universal_pinned(cat):
+def test_capped_one_min_universal_pinned(cat, monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
     full = min_universal_model(cat)
     m = replace(full, variables=tuple(VarietyVariable(c, 0, 1) for c in CELLS))
     res = solve(m, cat=cat)
@@ -253,6 +268,7 @@ def test_capped_one_min_universal_pinned(cat):
         0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0,
         0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1,
     )
+    assert calls["oracle"] == 50872
 
 
 # ----------------------------------------------------------------------
@@ -352,11 +368,22 @@ def _event_driven(s):
     """Prune key of the search's own propagation, or None."""
     before = dict(s.stats)
     ok = s._propagate()
-    # the pending work is not trailed, so no call may leave any behind
+    # the pending work is not saved with a node's state, so no call may
+    # leave any behind
     assert not s.cap_queue and not any(s.row_dirty)
+    assert not any(s.req_dirty) and not any(s.forb_dirty)
     pruned = [k for k, n in s.stats.items() if n != before.get(k, 0)]
     assert len(pruned) == (0 if ok else 1)
     return None if ok else pruned[0]
+
+
+def _assert_sums_recomputed(s):
+    """The incremental sums agree with the bounds they summarise."""
+    c = s.c
+    assert s.req_sum_hi == [sum(s.hi[k] for k in c.usable[t]) for t in c.req_targets]
+    assert s.forb_sum_lo == [sum(s.lo[k] for k in c.usable[t]) for t in c.forb_targets]
+    assert s.slo == [sum(s.lo[k] for k in idxs) for idxs, _, _ in c.linear]
+    assert s.shi == [sum(s.hi[k] for k in idxs) for idxs, _, _ in c.linear]
 
 
 def _draw_cut(data, s):
@@ -419,11 +446,12 @@ def test_event_driven_propagation_matches_full_sweep(cat, kind, data):
     while prune is None and new.lo != new.hi:
         assert (new.lo, new.hi) == (ref.lo, ref.hi)
         # a sibling branch, propagated and backtracked, leaves no trace
-        mark = len(new.trail)
+        state = new._state()
         _draw_cut(data, new)
         _event_driven(new)
-        new._undo(mark)
+        new._restore(state)
         assert (new.lo, new.hi) == (ref.lo, ref.hi)
+        _assert_sums_recomputed(new)
         k, lo, hi = _draw_cut(data, ref)
         assert new._set_lo(k, lo) and new._set_hi(k, hi)
         prune = _event_driven(new)
@@ -517,10 +545,11 @@ def test_watched_dominance_matches_list_scan(kind, data):
         # a sibling branch, advanced and backtracked, leaves the map as
         # it was
         before = _snapshot(watch)
-        mark = len(s.trail)
+        state = s._state()
         _draw_cut(data, s)
         if s._propagate():
             s._advance(watch)
-        s._undo(mark)
+        s._restore(state)
         assert _snapshot(watch) == before
+        _assert_sums_recomputed(s)
         _draw_cut(data, s)
