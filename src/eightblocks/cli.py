@@ -81,10 +81,7 @@ def _emit(records, machine: bool, stream) -> None:
 
 
 def _matrix(instance: Instance) -> list[list[int]]:
-    return [
-        [instance.count(i, j) if i != j else 0 for j in range(1, 7)]
-        for i in range(1, 7)
-    ]
+    return [list(row) for row in instance.counts]
 
 
 def _target_number(token: str, text: str) -> int:
@@ -125,7 +122,7 @@ def _parse_solutions(text: str) -> frozenset[tuple[int, int]]:
 
 def _options(args) -> SearchOptions:
     return SearchOptions(
-        symmetry=not getattr(args, "no_symmetry", False),
+        symmetry=not args.no_symmetry,
         node_budget=args.node_budget,
         time_budget=args.time_budget,
         jobs=args.jobs,
@@ -382,6 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
     search_flags = argparse.ArgumentParser(add_help=False, parents=[run_flags])
     search_flags.add_argument("--node-budget", type=_at_least(0), default=None)
     search_flags.add_argument("--time-budget", type=_at_least(0, float), default=None)
+    search_flags.add_argument("--no-symmetry", action="store_true")
+    split_flags = argparse.ArgumentParser(add_help=False, parents=[search_flags])
+    split_flags.add_argument(
+        "--checkpoint",
+        default=None,
+        help="JSONL progress file; rerun with the same file to resume",
+    )
+    split_flags.add_argument("--split-depth", type=_at_least(0), default=2)
 
     p = sub.add_parser("table", help="print the 6x6 variety table")
     p.add_argument("--format", choices=("text", "machine"), default="text")
@@ -399,29 +404,21 @@ def _build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="run the built-in searches")
     ssub = search.add_subparsers(dest="search_command", required=True)
 
-    p = ssub.add_parser("existence", parents=[search_flags],
+    p = ssub.add_parser("existence", parents=[split_flags],
                         help="instance composing exactly the given varieties")
     p.add_argument("--solutions", required=True,
                    help="targets: 'i,j ...', 'row:i', 'col:j', 'all' or 'none'")
     p.add_argument("--mode", choices=("capped", "full"), default="capped")
-    p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--checkpoint", default=None,
-                   help="JSONL progress file; rerun with the same file to resume")
-    p.add_argument("--split-depth", type=_at_least(0), default=2)
     p.set_defaults(func=_cmd_search_existence)
 
-    p = ssub.add_parser("max-infeasible", parents=[search_flags],
+    p = ssub.add_parser("max-infeasible", parents=[split_flags],
                         help="instance of a given size composing nothing")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--mode", choices=("capped", "full"), default="full")
-    p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--split-depth", type=_at_least(0), default=2)
     p.set_defaults(func=_cmd_search_max_infeasible)
 
     p = ssub.add_parser("min-universal", parents=[search_flags],
                         help="smallest instance composing every variety")
-    p.add_argument("--no-symmetry", action="store_true")
     p.set_defaults(func=_cmd_search_min_universal)
 
     census = sub.add_parser("census", help="exhaustive sweeps")

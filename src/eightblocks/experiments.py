@@ -61,29 +61,24 @@ from .solver import (
     split_subproblems,
 )
 from .symmetry import count_orbits, orbit_vectors
-from .varieties import CELL_INDEX, CELLS, Catalog, catalog
+from .varieties import (
+    CELL_INDEX,
+    CELLS,
+    INFEASIBLE_23_COUNTS,
+    NINE_CUBE_COUNTS,
+    UNIVERSAL_12_COUNTS,
+    Catalog,
+    catalog,
+)
 
 
 # ----------------------------------------------------------------------
-# reference instances
+# reference instances (their counts live in `varieties`, which checks
+# every candidate table against them)
 
-#: nine cubes spread over seven varieties; composes (1,2) but not (2,3)
-NINE_CUBE_DEMO = Instance.from_pairs(
-    {(1, 2): 2, (2, 6): 1, (3, 5): 1, (3, 6): 1, (5, 6): 2, (6, 4): 1, (6, 5): 1}
-)
-
-#: largest known instance composing nothing: one row, entries 7,7,7,1,1
-MAX_INFEASIBLE_23 = Instance.from_pairs(
-    {(1, 2): 7, (1, 3): 7, (1, 4): 7, (1, 5): 1, (1, 6): 1}
-)
-
-#: twelve cubes on two diagonal blocks; composes every variety
-MIN_UNIVERSAL_12 = Instance.from_pairs(
-    {
-        (1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 3): 1, (3, 1): 1, (3, 2): 1,
-        (4, 5): 1, (4, 6): 1, (5, 4): 1, (5, 6): 1, (6, 4): 1, (6, 5): 1,
-    }
-)
+NINE_CUBE_DEMO = Instance.from_pairs(NINE_CUBE_COUNTS)
+MAX_INFEASIBLE_23 = Instance.from_pairs(INFEASIBLE_23_COUNTS)
+MIN_UNIVERSAL_12 = Instance.from_pairs(UNIVERSAL_12_COUNTS)
 
 
 def reference_instances() -> dict[str, Instance]:
@@ -607,6 +602,10 @@ def run_min_universal(
 
 _RECORD_KEYS = ("index", "status", "nodes", "prunes", "witness")
 
+#: format 2 splits in the search's own value order; a file of an
+#: earlier format numbers its subproblems differently and is refused
+_CHECKPOINT_FORMAT = 2
+
 
 def _record_problem(rec, model: Model, subproblems: int) -> str | None:
     """Why a parsed checkpoint record cannot be used, or None when it can."""
@@ -652,9 +651,11 @@ def checkpointed_solve(
     Budgets in `options` cover the whole call, as for `solve`;
     subproblems recorded as timed out are searched again on resume.
     The first satisfiable subproblem in split order ends the run, and
-    its witness is reported in the model's canonical form.  A checkpoint
-    path that cannot be read or appended to (a directory, a file in a
-    missing directory) raises InvalidInputError naming it.
+    its witness is in the model's canonical form.  A checkpoint path
+    that cannot be read or appended to (a directory, a file in a missing
+    directory) raises InvalidInputError naming it; a file of an earlier
+    format raises ExperimentError.  Every search uses the process-wide
+    catalog, so ``cat`` is accepted only for parity with `solve`.
     """
     if model.objective is not None:
         raise InvalidInputError("checkpointing covers decision models only")
@@ -662,6 +663,7 @@ def checkpointed_solve(
     subs = split_subproblems(model, split_depth)
     # restricted variants share a builder name, so identity needs the domains
     header = {
+        "format": _CHECKPOINT_FORMAT,
         "model": model.name,
         "domains": [list(d) for d in model.domains()],
         "split_depth": split_depth,
@@ -683,6 +685,11 @@ def checkpointed_solve(
             stored = json.loads(first)
         except ValueError as exc:
             raise ExperimentError(f"unreadable checkpoint header: {exc}") from None
+        if isinstance(stored, dict) and stored.get("format") != _CHECKPOINT_FORMAT:
+            raise ExperimentError(
+                f"checkpoint {path} was written by an earlier version, whose"
+                " subproblems are numbered differently; start a new file"
+            )
         if stored != header:
             raise ExperimentError(
                 f"checkpoint {path} belongs to a different run: {stored}"
@@ -725,7 +732,7 @@ def checkpointed_solve(
             fh.write(json.dumps(rec) + "\n")
             fh.flush()
 
-        return solve_subproblems(model, subs, done, record, options, cat)
+        return solve_subproblems(model, subs, done, record, options)
 
 
 # ----------------------------------------------------------------------

@@ -40,34 +40,40 @@ a comparison whose blocking cell is still free cannot move.  The map
 from cells to comparisons is copy-on-write: a node hands its children
 a shallow copy with the advanced comparisons filed anew, and never
 changes the map it was given, so nothing is trailed and backtracking
-just drops the child's map.  Completed witnesses are returned in
-canonical form.  A verdict of UNSAT therefore always covers the full
-search space, not just one fundamental domain.
+just drops the child's map.  A leaf that survives has finished every
+comparison, so it is the least image of its orbit and is returned as
+it stands.  A verdict of UNSAT therefore always covers the full search
+space, not just one fundamental domain.
+
+A split run is one search cut into parts.  `split_subproblems` fixes
+the first free cells, each in the search's own value order, and each
+part is a set of start domains for the one compiled parent search,
+pruned with the parent's whole group.  That is sound for any partition
+(Crawford et al., KR 1996): a pruned assignment has a strictly smaller
+image under a parent-admissible symmetry, that image lies in exactly
+one part, and there its lex-leader survives.  The parts together keep
+exactly the parent's lex-leaders, so an UNSAT over all parts is final,
+every satisfying leaf is in the parent's canonical form, and
+enumeration meets each orbit once.  Where the split cells are the ones
+the search would branch on first, the parts are its subtrees.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 from .composability import composable_from_vector
 from .errors import InvalidInputError
 from .instances import Instance
 from .model import LinearConstraint, Model, cap_bounds, check_assignment
-from .symmetry import (
-    Symmetry,
-    cell_perms,
-    group,
-    group_index,
-    inverse_cell_perms,
-    least_image,
-)
+from .symmetry import Symmetry, cell_perms, group, group_index, inverse_cell_perms
 from .varieties import CELLS, CELL_INDEX, COMPATIBLE_CAP, OWN_CAP, Catalog, catalog
 
 N_CELLS = len(CELLS)
@@ -75,6 +81,9 @@ N_CELLS = len(CELLS)
 #: symmetry dominance states ``(pi, ptr)`` filed by the cell that blocks
 #: them, each cell holding a tuple of chunks that are never changed
 _Watch = dict[int, tuple[list[tuple[tuple[int, ...], int]], ...]]
+
+#: interval domain of every cell, in cell order
+_Domains = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -151,19 +160,6 @@ def admissible_symmetries(
     return tuple(out)
 
 
-def _admissible_positions(model: Model, options: SearchOptions, cat: Catalog):
-    """Group positions of the admissible symmetries; none when symmetry
-    handling is off."""
-    if not options.symmetry:
-        return []
-    index = group_index(cat)
-    return [index[s] for s in admissible_symmetries(model, cat)]
-
-
-def _admissible_perms(model: Model, options: SearchOptions, cat: Catalog):
-    return [cell_perms(cat)[i] for i in _admissible_positions(model, options, cat)]
-
-
 # ----------------------------------------------------------------------
 # compilation
 
@@ -172,8 +168,6 @@ class _Compiled:
     def __init__(self, model: Model, options: SearchOptions, cat: Catalog):
         self.model = model
         self.cat = cat
-        self.lo0 = [v.lo for v in model.variables]
-        self.hi0 = [v.hi for v in model.variables]
         # usable cells of a target: itself plus its compatible cells
         self.usable = [
             (t,) + tuple(cat.compatible_cells[t]) for t in range(N_CELLS)
@@ -221,13 +215,12 @@ class _Compiled:
             for k in self.usable[t]:
                 self.forb_of_cell[k].append(slot)
 
-        positions = _admissible_positions(model, options, cat)
-        self.perms = [cell_perms(cat)[i] for i in positions]
         # dominance comparison needs inverses; drop the identity
+        syms = admissible_symmetries(model, cat) if options.symmetry else ()
+        index, inverses = group_index(cat), inverse_cell_perms(cat)
         identity = tuple(range(N_CELLS))
-        inverses = inverse_cell_perms(cat)
         self.inv_perms = [
-            inverses[i] for i in positions if inverses[i] != identity
+            inverses[index[s]] for s in syms if inverses[index[s]] != identity
         ]
         # every comparison starts at cell 0, so cell 0 blocks them all
         self.root_watch: _Watch = (
@@ -235,15 +228,32 @@ class _Compiled:
         )
 
 
+@lru_cache(maxsize=1)
+def _compiled(model: Model, symmetry: bool) -> _Compiled:
+    """The parent search of a split, compiled once per process for all
+    its parts; a `_Compiled` is never changed after construction."""
+    return _Compiled(model, SearchOptions(symmetry=symmetry), catalog())
+
+
 # ----------------------------------------------------------------------
 # the search proper
 
 
+def _value_order(lo: int, hi: int, required: bool) -> range:
+    """Values a branching cell tries: a required target's high to low,
+    any other cell's low to high."""
+    return range(hi, lo - 1, -1) if required else range(lo, hi + 1)
+
+
 class _Search:
-    def __init__(self, comp: _Compiled, options: SearchOptions, deadline=None):
+    def __init__(
+        self, comp: _Compiled, options: SearchOptions, deadline=None, domains=None
+    ):
         self.c = comp
-        self.lo = list(comp.lo0)
-        self.hi = list(comp.hi0)
+        # a part of a split starts from its own domains
+        start = comp.model.domains() if domains is None else domains
+        self.lo = [lo for lo, _ in start]
+        self.hi = [hi for _, hi in start]
         self.stats: Counter[str] = Counter()
         self.req_sum_hi = [
             sum(self.hi[k] for k in comp.usable[t]) for t in comp.req_targets
@@ -480,11 +490,6 @@ class _Search:
                 best, best_score = k, score
         return best
 
-    def _values(self, k: int):
-        if k in self.c.required_idx:
-            return range(self.hi[k], self.lo[k] - 1, -1)
-        return range(self.lo[k], self.hi[k] + 1)
-
     def _search(self, watch: _Watch) -> bool:
         """Returns True to stop the whole search (decision satisfied).
         The caller restores whatever state the node leaves."""
@@ -498,7 +503,7 @@ class _Search:
             return self._leaf()
         k = self._pick_var()
         state = self._state()
-        for v in self._values(k):
+        for v in _value_order(self.lo[k], self.hi[k], k in self.c.required_idx):
             # v lies in the restored domain, so neither call can fail
             self._set_lo(k, v)
             self._set_hi(k, v)
@@ -514,11 +519,10 @@ class _Search:
             self.stats["leaf_reject"] += 1
             return False
         self.stats["sat_leaves"] += 1
-        canon = least_image(vec, self.c.perms)
         if self.all_witnesses is not None:
-            self.all_witnesses.add(canon)
+            self.all_witnesses.add(vec)
             return False
-        self.witness = canon
+        self.witness = vec
         return True
 
     def run_decision(self) -> tuple[str, tuple[int, ...] | None, Counter]:
@@ -562,28 +566,22 @@ def _surrogate_floor(model: Model, cat: Catalog) -> int:
     return best
 
 
-def _split_values(model: Model) -> tuple[tuple[int, int], list[int]] | None:
-    for v in model.variables:
-        if v.lo < v.hi:
-            return v.coords, list(range(v.hi, v.lo - 1, -1))
-    return None
-
-
-def split_subproblems(model: Model, depth: int = 1) -> list[Model]:
-    """Partition of the model by fixing the first free cells, in search order."""
+def split_subproblems(model: Model, depth: int = 1) -> list[_Domains]:
+    """Partition of the model's domains by fixing the first free cells,
+    each in the search's own value order."""
     if depth < 0:
         raise InvalidInputError(f"negative split depth {depth}")
-    subs = [model]
+    required = [v.coords in model.required for v in model.variables]
+    subs = [model.domains()]
     for _ in range(depth):
         nxt = []
-        for m in subs:
-            sv = _split_values(m)
-            if sv is None:
-                nxt.append(m)
+        for doms in subs:
+            k = next((k for k, (lo, hi) in enumerate(doms) if lo < hi), None)
+            if k is None:
+                nxt.append(doms)
                 continue
-            cell, values = sv
-            for val in values:
-                nxt.append(m.restrict(cell, val, val))
+            for val in _value_order(*doms[k], required[k]):
+                nxt.append(doms[:k] + ((val, val),) + doms[k + 1 :])
         subs = nxt
     return subs
 
@@ -594,26 +592,25 @@ def _deadline(options: SearchOptions, start: float) -> float | None:
 
 def ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     """Lazy ``map(fn, items)``, in item order, over one process pool when
-    there is more than one job.  Closing it early cancels the items not
-    yet started and waits for the running ones."""
+    there is more than one job.  Closing it early terminates the pool, so
+    no item runs on: neither those not yet started nor the running ones."""
     if jobs == 1:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        try:
-            for future in futures:
-                yield future.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    # leaving the block terminates the workers
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(fn, items)
 
 
 def _subproblem_tasks(
-    subs: dict[int, Model], options: SearchOptions, deadline: float | None
-) -> dict[int, tuple[Model, SearchOptions, float | None]]:
-    """Serial search tasks by subproblem index, together spending no
-    more nodes than one serial search of the parent may, and sharing
-    its deadline.
+    model: Model,
+    subs: dict[int, _Domains],
+    options: SearchOptions,
+    deadline: float | None,
+) -> dict[int, tuple[Model, _Domains, SearchOptions, float | None]]:
+    """Serial search tasks by subproblem index, each the parent model
+    with the part's start domains, together spending no more nodes than
+    one serial search of the parent may, and sharing its deadline.
 
     A search with node budget b counts at most b + 1 nodes, so the
     parent's b + 1 are dealt out evenly and a share s becomes budget
@@ -623,27 +620,27 @@ def _subproblem_tasks(
     opts = replace(options, jobs=1)
     nb = options.node_budget
     if nb is None:
-        return {i: (m, opts, deadline) for i, m in subs.items()}
+        return {i: (model, doms, opts, deadline) for i, doms in subs.items()}
     q, r = divmod(nb + 1, len(subs) or 1)
     shares = [q + (n < r) for n in range(len(subs))]
     return {
-        i: (m, replace(opts, node_budget=share - 1), deadline)
-        for (i, m), share in zip(subs.items(), shares)
+        i: (model, doms, replace(opts, node_budget=share - 1), deadline)
+        for (i, doms), share in zip(subs.items(), shares)
         if share
     }
 
 
 def _searched(run: Callable, task: tuple):
-    model, options, deadline = task
-    return run(_Search(_Compiled(model, options, catalog()), options, deadline))
+    model, domains, options, deadline = task
+    comp = _compiled(model, options.symmetry)
+    return run(_Search(comp, options, deadline, domains))
 
 
 def _decide(
     model: Model,
-    subs: list[Model],
+    subs: list[_Domains],
     options: SearchOptions,
     deadline: float | None,
-    cat: Catalog,
     stored: dict[int, tuple],
     record: Callable | None,
 ) -> tuple[str, tuple[int, ...] | None, Counter]:
@@ -651,11 +648,11 @@ def _decide(
 
     Subproblem i gives ``stored[i]`` if present, else a fresh search
     whose result goes to ``record(i, result)`` first.  The first
-    ``sat`` ends the merge, and its witness is re-reduced under the
-    parent's admissible group, which a restricted subproblem may lack.
+    ``sat`` ends the merge with that part's witness, which is already
+    in the parent's canonical form.
     """
-    pending = {i: m for i, m in enumerate(subs) if i not in stored}
-    tasks = _subproblem_tasks(pending, options, deadline)
+    pending = {i: doms for i, doms in enumerate(subs) if i not in stored}
+    tasks = _subproblem_tasks(model, pending, options, deadline)
     run = partial(_searched, _Search.run_decision)
     stats: Counter = Counter()
     status_all = "unsat"
@@ -671,8 +668,7 @@ def _decide(
             status, vec, st = result
             stats.update(st)
             if status == "sat":
-                perms = _admissible_perms(model, options, cat)
-                return "sat", least_image(vec, perms), stats
+                return "sat", vec, stats
             if status == "timeout":
                 status_all = "timeout"
     return status_all, None, stats
@@ -708,7 +704,7 @@ def solve(
     depth = int(options.jobs > 1)
     if model.objective is None:
         subs = split_subproblems(model, depth)
-        return solve_subproblems(model, subs, {}, None, options, cat)
+        return solve_subproblems(model, subs, {}, None, options)
     if model.objective not in ("minimize-total", "maximize-total"):
         raise InvalidInputError(f"unknown objective {model.objective!r}")
 
@@ -733,7 +729,7 @@ def solve(
         used = total_stats["nodes"]
         opts = replace(options, node_budget=None if nb is None else max(0, nb - used))
         subs = split_subproblems(level, depth)
-        status, vec, stats = _decide(level, subs, opts, deadline, cat, {}, None)
+        status, vec, stats = _decide(level, subs, opts, deadline, {}, None)
         total_stats.update(stats)
         if status == "sat":
             return _result(model, start, "optimal", vec, total_stats, sum(vec))
@@ -745,11 +741,10 @@ def solve(
 
 def solve_subproblems(
     model: Model,
-    subs: list[Model],
+    subs: list[_Domains],
     stored: dict[int, tuple],
     record: Callable | None,
     options: SearchOptions | None = None,
-    cat: Catalog | None = None,
 ) -> SearchResult:
     """Decide a decision model from a partition of it, as `solve` does.
 
@@ -760,26 +755,24 @@ def solve_subproblems(
     options = options or SearchOptions()
     start = time.monotonic()
     deadline = _deadline(options, start)
-    decided = _decide(model, subs, options, deadline, cat or catalog(), stored, record)
+    decided = _decide(model, subs, options, deadline, stored, record)
     return _result(model, start, *decided)
 
 
 def enumerate_all(
-    model: Model, options: SearchOptions | None = None, cat: Catalog | None = None
+    model: Model, options: SearchOptions | None = None
 ) -> tuple[list[Instance], bool]:
     """All solutions up to the admissible symmetries, plus a completeness flag."""
     options = options or SearchOptions()
-    cat = cat or catalog()
     subs = split_subproblems(model, int(options.jobs > 1))
     deadline = _deadline(options, time.monotonic())
-    tasks = _subproblem_tasks(dict(enumerate(subs)), options, deadline)
+    tasks = _subproblem_tasks(model, dict(enumerate(subs)), options, deadline)
     run = partial(_searched, _Search.run_enumerate)
-    perms = _admissible_perms(model, options, cat)
     complete = len(tasks) == len(subs)
     found = set()
     for flag, vecs in ordered_map(run, tasks.values(), options.jobs):
         complete = complete and flag
-        found.update(least_image(v, perms) for v in vecs)
+        found.update(vecs)
     out = []
     for vec in sorted(found):
         inst = Instance.from_vector(vec)

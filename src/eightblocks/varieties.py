@@ -70,13 +70,18 @@ class Variety:
         return f"({self.coords[0]},{self.coords[1]})"
 
 
-# Reference count matrices used to cross-validate a candidate table
-# before it is accepted.  Keys are table coordinates.
-_CHECK_NINE_CUBE = {
+# Reference counts by table cell.  They cross-validate a candidate
+# table before it is accepted, and `experiments` bundles them as its
+# reference instances.
+
+#: nine cubes spread over seven varieties; composes (1,2) but not (2,3)
+NINE_CUBE_COUNTS = {
     (1, 2): 2, (2, 6): 1, (3, 5): 1, (3, 6): 1, (5, 6): 2, (6, 4): 1, (6, 5): 1,
 }
-_CHECK_INFEASIBLE_23 = {(1, 2): 7, (1, 3): 7, (1, 4): 7, (1, 5): 1, (1, 6): 1}
-_CHECK_UNIVERSAL_12 = {
+#: largest known instance composing nothing: one row, entries 7,7,7,1,1
+INFEASIBLE_23_COUNTS = {(1, 2): 7, (1, 3): 7, (1, 4): 7, (1, 5): 1, (1, 6): 1}
+#: twelve cubes on two diagonal blocks; composes every variety
+UNIVERSAL_12_COUNTS = {
     (1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 3): 1, (3, 1): 1, (3, 2): 1,
     (4, 5): 1, (4, 6): 1, (5, 4): 1, (5, 6): 1, (6, 4): 1, (6, 5): 1,
 }
@@ -87,8 +92,6 @@ class Catalog:
 
     def __init__(self) -> None:
         reps, class_of, triples, share, mirror_of = _enumerate_classes()
-        self._class_colorings = reps
-        self._class_triples = triples
         layout = _build_table(reps, triples, share, mirror_of)
 
         self.varieties: tuple[Variety, ...] = tuple(
@@ -231,43 +234,6 @@ class Catalog:
         out.discard(v)
         return frozenset(out)
 
-    # ------------------------------------------------------------------
-    # text output
-
-    def table_text(self) -> str:
-        """Six lines of six tokens; diagonal cells print as '-'."""
-        lines = []
-        for i in range(1, 7):
-            row = []
-            for j in range(1, 7):
-                row.append("-" if i == j else "".join(self.variety(i, j).coloring))
-            lines.append(" ".join(row))
-        return "\n".join(lines) + "\n"
-
-    def table_records(self) -> str:
-        """Machine form: one `variety i j coloring` line per cell."""
-        lines = []
-        for v in self.varieties:
-            lines.append(f"variety {v.coords[0]} {v.coords[1]} {''.join(v.coloring)}")
-        return "\n".join(lines) + "\n"
-
-
-def parse_table_records(text: str) -> dict[tuple[int, int], Coloring]:
-    """Inverse of Catalog.table_records."""
-    out: dict[tuple[int, int], Coloring] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "variety":
-            raise InvalidInputError(f"bad table record: {line!r}")
-        i, j = int(parts[1]), int(parts[2])
-        out[(i, j)] = cubes.validate_coloring(tuple(parts[3]))
-    if sorted(out) != sorted(CELLS):
-        raise InvalidInputError("table records do not cover the 30 cells")
-    return out
-
 
 @lru_cache(maxsize=1)
 def catalog() -> Catalog:
@@ -393,13 +359,13 @@ def _layout_checks_pass(assignment, triples, share) -> bool:
     """Reference facts every acceptable layout must reproduce."""
     # nine-cube example: (1,2) composable, (2,3) not, and the shared-triple
     # multigraph for target (1,2) leaves exactly the (p,s,u) node isolated
-    if not _class_composable(assignment, triples, share, _CHECK_NINE_CUBE, (1, 2)):
+    if not _class_composable(assignment, triples, share, NINE_CUBE_COUNTS, (1, 2)):
         return False
-    if _class_composable(assignment, triples, share, _CHECK_NINE_CUBE, (2, 3)):
+    if _class_composable(assignment, triples, share, NINE_CUBE_COUNTS, (2, 3)):
         return False
     t = assignment[(1, 2)]
     covered: set[Triple] = set()
-    for cell, n in _CHECK_NINE_CUBE.items():
+    for cell, n in NINE_CUBE_COUNTS.items():
         w = assignment[cell]
         if w != t and share[w][t] == 2 and n:
             covered |= triples[w] & triples[t]
@@ -408,10 +374,10 @@ def _layout_checks_pass(assignment, triples, share) -> bool:
         return False
     # 23-cube row pattern generates nothing at all
     for cell in CELLS:
-        if _class_composable(assignment, triples, share, _CHECK_INFEASIBLE_23, cell):
+        if _class_composable(assignment, triples, share, INFEASIBLE_23_COUNTS, cell):
             return False
     # 12-cube two-block pattern generates everything
     for cell in CELLS:
-        if not _class_composable(assignment, triples, share, _CHECK_UNIVERSAL_12, cell):
+        if not _class_composable(assignment, triples, share, UNIVERSAL_12_COUNTS, cell):
             return False
     return True

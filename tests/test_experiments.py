@@ -30,8 +30,14 @@ from eightblocks.experiments import (
     verify_small_sizes_infeasible,
 )
 from eightblocks.model import existence_model, max_infeasible_model, min_universal_model
-from eightblocks.solver import SearchOptions, _Compiled
-from eightblocks.symmetry import count_orbits, least_image, orbit_vectors
+from eightblocks.solver import SearchOptions, admissible_symmetries, solve
+from eightblocks.symmetry import (
+    cell_perms,
+    count_orbits,
+    group_index,
+    least_image,
+    orbit_vectors,
+)
 from eightblocks.varieties import CELLS, catalog
 
 
@@ -199,6 +205,23 @@ def test_checkpoint_header_mismatch(tmp_path, cat):
         checkpointed_solve(_row_model(24, 1, cat), path, split_depth=2, cat=cat)
 
 
+def test_checkpoint_of_an_earlier_format_is_refused(tmp_path, cat):
+    # earlier files split high to low, so their subproblem indices name
+    # other parts of the search and must never be resumed
+    path = tmp_path / "old.jsonl"
+    model = _row_model(24, 1, cat)
+    header = {
+        "model": model.name,
+        "domains": [list(d) for d in model.domains()],
+        "split_depth": 1,
+        "subproblems": 8,
+    }
+    record = {"index": 0, "status": "unsat", "nodes": 1, "prunes": {}, "witness": None}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ExperimentError, match=str(path)):
+        checkpointed_solve(model, path, split_depth=1, cat=cat)
+
+
 def test_checkpoint_tolerates_torn_line(tmp_path, cat):
     path = tmp_path / "run.jsonl"
     model = _row_model(24, 1, cat)
@@ -309,8 +332,10 @@ def test_checkpoint_witness_is_parent_canonical_under_jobs(tmp_path, cat):
         statuses = [json.loads(l)["status"] for l in path.read_text().splitlines()[1:]]
         assert statuses.index("sat") == len(statuses) - 1
         witnesses.append(res.witness.vector())
-    assert witnesses[0] == witnesses[1]
-    perms = _Compiled(model, SearchOptions(), cat).perms
+    # the split walks the serial tree, so it meets the serial witness
+    assert witnesses[0] == witnesses[1] == solve(model, cat=cat).witness.vector()
+    index = group_index(cat)
+    perms = [cell_perms(cat)[index[s]] for s in admissible_symmetries(model, cat)]
     assert least_image(witnesses[0], perms) == witnesses[0]
 
 

@@ -28,9 +28,16 @@ from eightblocks.solver import (
     admissible_symmetries,
     enumerate_all,
     solve,
+    solve_subproblems,
     split_subproblems,
 )
-from eightblocks.symmetry import canonical_vector, least_image, orbit_vectors
+from eightblocks.symmetry import (
+    canonical_vector,
+    cell_perms,
+    group_index,
+    least_image,
+    orbit_vectors,
+)
 from eightblocks.varieties import CELL_INDEX, CELLS, catalog
 
 
@@ -97,7 +104,7 @@ def test_node_budget_holds_under_jobs(cat):
     tiny = solve(m, SearchOptions(jobs=2, node_budget=1), cat=cat)
     assert tiny.status == "timeout" and tiny.nodes <= 2
     r23 = _row_restricted(max_infeasible_model(23, mode="full", cat=cat), 1)
-    _, complete = enumerate_all(r23, SearchOptions(jobs=2, node_budget=1), cat=cat)
+    _, complete = enumerate_all(r23, SearchOptions(jobs=2, node_budget=1))
     assert not complete
 
 
@@ -119,14 +126,14 @@ def test_time_budget_holds_under_jobs(cat):
 
 def test_enumerate_row_maximizers(cat):
     r23 = _row_restricted(max_infeasible_model(23, mode="full", cat=cat), 1)
-    found, complete = enumerate_all(r23, cat=cat)
+    found, complete = enumerate_all(r23)
     assert complete
     # the ten raw maximizers form one orbit under the row stabilizer
     assert len(found) == 1
     entries = sorted(n for _, n in found[0].items())
     assert entries == [1, 1, 7, 7, 7]
     r24 = _row_restricted(max_infeasible_model(24, mode="full", cat=cat), 1)
-    nothing, complete24 = enumerate_all(r24, cat=cat)
+    nothing, complete24 = enumerate_all(r24)
     assert complete24 and nothing == []
 
 
@@ -134,11 +141,16 @@ def test_enumerate_matches_orbit_enumeration(cat):
     m = _uniform_model(
         "all-pairs", 1, [LinearConstraint("total", "eq", CELLS, 2)]
     )
-    found, complete = enumerate_all(m, cat=cat)
+    found, complete = enumerate_all(m)
     assert complete
     got = {canonical_vector(w.vector(), cat) for w in found}
     want = {canonical_vector(v, cat) for v, _ in orbit_vectors(2, cat, cap=1)}
     assert got == want and len(got) == 4
+
+
+def _admissible_perms(model, cat):
+    index = group_index(cat)
+    return [cell_perms(cat)[index[s]] for s in admissible_symmetries(model, cat)]
 
 
 def test_parallel_jobs_same_answers(cat):
@@ -147,13 +159,14 @@ def test_parallel_jobs_same_answers(cat):
     par = solve(m, SearchOptions(jobs=2), cat=cat)
     assert seq.status == par.status == "sat"
     assert solution_set(par.witness, cat) == {(2, 5)}
-    # the split may find a different solution, but it is reported in
-    # the parent model's canonical form, as a serial witness is
+    # the parts search the serial tree, so they meet its witness first,
+    # and it is the least image under the parent's admissible group
     vec = par.witness.vector()
-    assert least_image(vec, _Compiled(m, SearchOptions(), cat).perms) == vec
+    assert vec == seq.witness.vector()
+    assert least_image(vec, _admissible_perms(m, cat)) == vec
     m2 = _uniform_model("all-pairs", 1, [LinearConstraint("total", "eq", CELLS, 2)])
-    f1, c1 = enumerate_all(m2, SearchOptions(jobs=1), cat=cat)
-    f2, c2 = enumerate_all(m2, SearchOptions(jobs=2), cat=cat)
+    f1, c1 = enumerate_all(m2, SearchOptions(jobs=1))
+    f2, c2 = enumerate_all(m2, SearchOptions(jobs=2))
     assert c1 and c2 and f1 == f2
 
 
@@ -213,12 +226,15 @@ def test_split_subproblems_partition(cat):
     m = existence_model([(1, 2)], mode="capped", cat=cat)
     subs = split_subproblems(m, depth=2)
     # first two free cells have 9 and 3 values
-    assert len(subs) == 27
-    doms = {tuple(s.domains()) for s in subs}
-    assert len(doms) == 27
+    assert len(subs) == 27 and len(set(subs)) == 27
+    # in the search's value order: the required target (1,2) high to
+    # low, the next cell low to high
+    assert [s[:2] for s in subs[:4]] == [
+        ((8, 8), (0, 0)), ((8, 8), (1, 1)), ((8, 8), (2, 2)), ((7, 7), (0, 0))
+    ]
     fully = split_subproblems(_row_restricted(m, 1), depth=40)
     # splitting past the last free variable just returns the leaves
-    assert all(all(lo == hi for lo, hi in s.domains()) for s in fully)
+    assert all(all(lo == hi for lo, hi in s) for s in fully)
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +285,34 @@ def test_capped_one_min_universal_pinned(cat, monkeypatch):
         0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1,
     )
     assert calls["oracle"] == 50872
+
+
+@pytest.mark.parametrize("depth, nodes", [(1, 8517), (2, 8514)])
+def test_split_walks_the_serial_tree(cat, depth, nodes):
+    # the parts are the serial search's subtrees: only the split's own
+    # nodes are missing, and every prune is the serial pin's
+    m = max_infeasible_model(40, mode="capped", cat=cat)
+    res = solve_subproblems(m, split_subproblems(m, depth), {}, None)
+    assert res.status == "unsat" and res.complete
+    assert res.nodes == nodes
+    assert res.prunes == {
+        "prune_capbound": 646,
+        "prune_forbidden_oracle": 4000,
+        "prune_linear": 36,
+        "prune_symmetry": 892,
+    }
+
+
+def test_capped_one_min_universal_under_jobs(cat):
+    full = min_universal_model(cat)
+    m = replace(full, variables=tuple(VarietyVariable(c, 0, 1) for c in CELLS))
+    serial = solve(m, cat=cat)
+    res = solve(m, SearchOptions(jobs=2), cat=cat)
+    assert res.status == "optimal" and res.objective == 12
+    # the surrogate floor is already 12, so one level is searched: the
+    # serial 4,793 nodes less its root
+    assert res.nodes == 4792
+    assert res.witness == serial.witness
 
 
 # ----------------------------------------------------------------------

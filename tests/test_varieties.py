@@ -8,7 +8,6 @@ from eightblocks.varieties import (
     COMPATIBLE_CAP,
     OWN_CAP,
     catalog,
-    parse_table_records,
 )
 
 # triples of the two pinned table cells, frozen as exact expectations
@@ -125,15 +124,6 @@ def test_triple_nodes_and_shared_pairs(cat):
                 assert {nodes[a], nodes[b]} == shared
             else:
                 assert pair is None
-
-
-def test_table_text_round_trip(cat):
-    records = cat.table_records()
-    parsed = parse_table_records(records)
-    assert len(parsed) == 30
-    for (i, j), coloring in parsed.items():
-        assert cat.variety(i, j).coloring == coloring
-    assert len(cat.table_text().splitlines()) == 6
 
 
 def test_variety_lookup_errors(cat):
