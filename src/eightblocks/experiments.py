@@ -18,9 +18,8 @@ import math
 import random
 import time
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from .composability import (
@@ -55,10 +54,10 @@ from .model import (
 from .solver import (
     SearchOptions,
     SearchResult,
-    ordered_map,
     solve,
     solve_subproblems,
     split_subproblems,
+    workers,
 )
 from .symmetry import count_orbits, orbit_vectors
 from .varieties import (
@@ -395,7 +394,8 @@ def _census_tally(
     """Merged ``_census_chunk`` results over all chunks.
 
     ``chunk_map(fn, chunks)`` yields in chunk order, as builtin ``map``
-    and ``solver.ordered_map`` do, so the merge is the same either way.
+    and the pool's ``imap`` from ``solver.workers`` do, so the merge is
+    the same either way.
     ``progress(done, total)`` is called once per finished chunk.
     """
     total = sum(len(c) for c in chunks)
@@ -440,7 +440,8 @@ def octet_census(
 
     step = max(1, len(reps) // (jobs * 4))
     chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
-    hist, best = _census_tally(chunks, partial(ordered_map, jobs=jobs), progress)
+    with workers(jobs) as chunk_map:
+        hist, best = _census_tally(chunks, chunk_map, progress)
 
     orbit_total = sum(r[0] for r in hist.values())
     raw_total = sum(r[1] for r in hist.values())
@@ -551,9 +552,9 @@ def run_existence(
     cat = cat or catalog()
     m = existence_model(required, mode, cat)
     if checkpoint is not None:
-        result = checkpointed_solve(m, checkpoint, options, split_depth, cat)
+        result = checkpointed_solve(m, checkpoint, options, split_depth)
     else:
-        result = solve(m, options, cat)
+        result = solve(m, options)
     if result.witness is not None:
         _verify_generates_exactly(result.witness, m.required, cat)
     return result
@@ -571,9 +572,9 @@ def run_max_infeasible(
     cat = cat or catalog()
     m = max_infeasible_model(size, mode, cat)
     if checkpoint is not None:
-        result = checkpointed_solve(m, checkpoint, options, split_depth, cat)
+        result = checkpointed_solve(m, checkpoint, options, split_depth)
     else:
-        result = solve(m, options, cat)
+        result = solve(m, options)
     if result.witness is not None:
         if result.witness.size != size:
             raise ExperimentError(
@@ -588,7 +589,7 @@ def run_min_universal(
 ) -> SearchResult:
     """Minimize the size of an instance that composes every variety."""
     cat = cat or catalog()
-    result = solve(min_universal_model(cat), options, cat)
+    result = solve(min_universal_model(cat), options)
     if result.witness is not None:
         _verify_generates_exactly(result.witness, frozenset(CELLS), cat)
         if result.objective != result.witness.size:
@@ -639,7 +640,6 @@ def checkpointed_solve(
     checkpoint: str | Path,
     options: SearchOptions | None = None,
     split_depth: int = 2,
-    cat: Catalog | None = None,
 ) -> SearchResult:
     """Decision solve split into subproblems with progress on disk.
 
@@ -653,9 +653,9 @@ def checkpointed_solve(
     The first satisfiable subproblem in split order ends the run, and
     its witness is in the model's canonical form.  A checkpoint path
     that cannot be read or appended to (a directory, a file in a missing
-    directory) raises InvalidInputError naming it; a file of an earlier
-    format raises ExperimentError.  Every search uses the process-wide
-    catalog, so ``cat`` is accepted only for parity with `solve`.
+    directory) raises InvalidInputError naming it, as does a split into
+    more than ``solver.MAX_SPLIT_PARTS`` subproblems, before any file is
+    touched; a file of an earlier format raises ExperimentError.
     """
     if model.objective is not None:
         raise InvalidInputError("checkpointing covers decision models only")
@@ -733,83 +733,3 @@ def checkpointed_solve(
             fh.flush()
 
         return solve_subproblems(model, subs, done, record, options)
-
-
-# ----------------------------------------------------------------------
-# open-ended exploration
-
-
-@dataclass(frozen=True)
-class ExplorationEntry:
-    label: str
-    targets: tuple[tuple[int, int], ...]
-    status: str
-    nodes: int
-    wall_time: float
-    witness: Instance | None
-
-
-def _family_sets(
-    spec: Mapping[str, object]
-) -> list[tuple[str, frozenset[tuple[int, int]]]]:
-    family = spec.get("family", "rows")
-    if family == "empty":
-        return [("empty", frozenset())]
-    if family == "all":
-        return [("all", frozenset(CELLS))]
-    if family == "singletons":
-        limit = spec.get("limit")
-        cells = CELLS[: int(limit)] if limit else CELLS
-        return [(f"({i},{j})", frozenset({(i, j)})) for i, j in cells]
-    if family == "rows":
-        return [
-            (f"row-{r}", frozenset((r, j) for j in range(1, 7) if j != r))
-            for r in range(1, 7)
-        ]
-    if family == "columns":
-        return [
-            (f"col-{c}", frozenset((i, c) for i in range(1, 7) if i != c))
-            for c in range(1, 7)
-        ]
-    if family == "explicit":
-        sets = spec.get("sets")
-        if not sets:
-            raise InvalidInputError("explicit family needs a 'sets' entry")
-        out = []
-        for k, cells in enumerate(sets):
-            out.append((f"set-{k}", frozenset(tuple(c) for c in cells)))
-        return out
-    raise InvalidInputError(f"unknown family {family!r}")
-
-
-def explore_open_problems(
-    spec: Mapping[str, object], cat: Catalog | None = None
-) -> tuple[ExplorationEntry, ...]:
-    """Tabulate existence verdicts for a family of target sets.
-
-    `spec` picks the family ('empty', 'all', 'singletons', 'rows',
-    'columns', 'explicit' with 'sets') plus optional 'mode',
-    'node_budget', 'time_budget', 'jobs' and, for singletons, 'limit'.
-    Exploratory data only; timeouts are recorded, not retried.
-    """
-    cat = cat or catalog()
-    options = SearchOptions(
-        node_budget=spec.get("node_budget"),
-        time_budget=spec.get("time_budget"),
-        jobs=int(spec.get("jobs", 1)),
-    )
-    mode = str(spec.get("mode", "capped"))
-    entries = []
-    for label, targets in _family_sets(spec):
-        result = run_existence(targets, mode=mode, options=options, cat=cat)
-        entries.append(
-            ExplorationEntry(
-                label=label,
-                targets=tuple(sorted(targets)),
-                status=result.status,
-                nodes=result.nodes,
-                wall_time=result.wall_time,
-                witness=result.witness,
-            )
-        )
-    return tuple(entries)

@@ -111,7 +111,7 @@ class Model:
     name: str
     variables: tuple[VarietyVariable, ...]  # one per cell, canonical order
     constraints: tuple[LinearConstraint, ...]
-    objective: str | None = None  # None or 'minimize-total'
+    objective: str | None = None  # None, 'minimize-total' or 'maximize-total'
     required: frozenset[Cell] = field(default_factory=frozenset)
     forbidden: frozenset[Cell] = field(default_factory=frozenset)
     mode: str = "full"
@@ -133,7 +133,7 @@ class Model:
         return tuple((v.lo, v.hi) for v in self.variables)
 
     def restrict(self, cell: Cell, lo: int, hi: int) -> "Model":
-        """Copy of the model with one domain tightened (used for splitting)."""
+        """Copy of the model with one domain tightened."""
         k = CELL_INDEX[cell]
         old = self.variables[k]
         nlo, nhi = max(old.lo, lo), min(old.hi, hi)

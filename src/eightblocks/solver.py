@@ -56,23 +56,32 @@ exactly the parent's lex-leaders, so an UNSAT over all parts is final,
 every satisfying leaf is in the parent's canonical form, and
 enumeration meets each orbit once.  Where the split cells are the ones
 the search would branch on first, the parts are its subtrees.
+
+An objective is searched one bound level at a time, and a level is a
+start parameter too: the compiled objective model carries an open row
+over all cells, and each level's search closes its lower side (maximise)
+or upper side (minimise) at the level's bound.  Every permutation maps
+that row to itself, so the group is the same at every level.  The parts
+of a split and the levels of an objective thus share one compile per
+process, and one call runs all its searches on one worker pool.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import time
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import closing
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 from .composability import composable_from_vector
 from .errors import InvalidInputError
 from .instances import Instance
-from .model import LinearConstraint, Model, cap_bounds, check_assignment
+from .model import Model, cap_bounds, check_assignment
 from .symmetry import Symmetry, cell_perms, group, group_index, inverse_cell_perms
 from .varieties import CELLS, CELL_INDEX, COMPATIBLE_CAP, OWN_CAP, Catalog, catalog
 
@@ -84,6 +93,12 @@ _Watch = dict[int, tuple[list[tuple[tuple[int, ...], int]], ...]]
 
 #: interval domain of every cell, in cell order
 _Domains = tuple[tuple[int, int], ...]
+
+#: the side of the all-cells row an objective's level bound closes
+_LEVEL_SENSE = {"minimize-total": "le", "maximize-total": "ge"}
+
+#: most parts a split may have; the packaged runs use at most 729
+MAX_SPLIT_PARTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,13 @@ class _Compiled:
                 row[1] = con.rhs if row[1] is None else max(row[1], con.rhs)
             if con.sense != "ge":
                 row[2] = con.rhs if row[2] is None else min(row[2], con.rhs)
+        # an objective's level bound lands on the all-cells row, open
+        # here and closed by each level's search
+        self.level_sense = _LEVEL_SENSE.get(model.objective)
+        if self.level_sense is not None:
+            every = tuple(range(N_CELLS))
+            rows.setdefault(every, [every, None, None])
+            self.level_row = list(rows).index(every)
         self.linear = [tuple(row) for row in rows.values()]
         self.rows_of_cell: list[list[int]] = [[] for _ in range(N_CELLS)]
         for r, (idxs, _, _) in enumerate(self.linear):
@@ -230,8 +252,9 @@ class _Compiled:
 
 @lru_cache(maxsize=1)
 def _compiled(model: Model, symmetry: bool) -> _Compiled:
-    """The parent search of a split, compiled once per process for all
-    its parts; a `_Compiled` is never changed after construction."""
+    """The model's one compiled search per process, shared by every part
+    of a split and every level of an objective; a `_Compiled` is never
+    changed after construction."""
     return _Compiled(model, SearchOptions(symmetry=symmetry), catalog())
 
 
@@ -247,13 +270,30 @@ def _value_order(lo: int, hi: int, required: bool) -> range:
 
 class _Search:
     def __init__(
-        self, comp: _Compiled, options: SearchOptions, deadline=None, domains=None
+        self,
+        comp: _Compiled,
+        options: SearchOptions,
+        deadline=None,
+        domains=None,
+        bound: int | None = None,
     ):
         self.c = comp
         # a part of a split starts from its own domains
         start = comp.model.domains() if domains is None else domains
         self.lo = [lo for lo, _ in start]
         self.hi = [hi for _, hi in start]
+        # an objective level closes one side of the all-cells row
+        self.bound = bound
+        self.linear = comp.linear
+        if bound is not None:
+            r = comp.level_row
+            idxs, lo_rhs, hi_rhs = comp.linear[r]
+            if comp.level_sense == "ge":
+                lo_rhs = bound if lo_rhs is None else max(lo_rhs, bound)
+            else:
+                hi_rhs = bound if hi_rhs is None else min(hi_rhs, bound)
+            self.linear = list(comp.linear)
+            self.linear[r] = (idxs, lo_rhs, hi_rhs)
         self.stats: Counter[str] = Counter()
         self.req_sum_hi = [
             sum(self.hi[k] for k in comp.usable[t]) for t in comp.req_targets
@@ -345,6 +385,7 @@ class _Search:
     def _propagate(self) -> bool:
         c = self.c
         lo, hi = self.lo, self.hi
+        linear = self.linear
         dirty = self.row_dirty
         queue = self.cap_queue
         while True:
@@ -354,7 +395,7 @@ class _Search:
                 if not woken:
                     continue
                 dirty[r] = False
-                idxs, lo_rhs, hi_rhs = c.linear[r]
+                idxs, lo_rhs, hi_rhs = linear[r]
                 slo = self.slo[r]
                 shi = self.shi[r]
                 if lo_rhs is not None:
@@ -514,8 +555,12 @@ class _Search:
 
     def _leaf(self) -> bool:
         vec = tuple(self.lo)
-        res = check_assignment(self.c.model, Instance.from_vector(vec))
-        if not res.ok:
+        ok = check_assignment(self.c.model, Instance.from_vector(vec)).ok
+        # the level bound is checked apart from the row that propagates it
+        if ok and self.bound is not None:
+            total, bound = sum(vec), self.bound
+            ok = total >= bound if self.c.level_sense == "ge" else total <= bound
+        if not ok:
             self.stats["leaf_reject"] += 1
             return False
         self.stats["sat_leaves"] += 1
@@ -546,8 +591,9 @@ class _Search:
 # public drivers
 
 
-def _surrogate_floor(model: Model, cat: Catalog) -> int:
+def _surrogate_floor(model: Model) -> int:
     """Provable lower bound on the total count over all solutions."""
+    cat = catalog()
     lo_total = sum(v.lo for v in model.variables)
     best = lo_total
     for con in model.constraints:
@@ -567,22 +613,26 @@ def _surrogate_floor(model: Model, cat: Catalog) -> int:
 
 
 def split_subproblems(model: Model, depth: int = 1) -> list[_Domains]:
-    """Partition of the model's domains by fixing the first free cells,
-    each in the search's own value order."""
+    """Partition of the model's domains by fixing the first ``depth``
+    free cells, each in the search's own value order.  A split into more
+    than `MAX_SPLIT_PARTS` parts is refused before any part is built."""
     if depth < 0:
         raise InvalidInputError(f"negative split depth {depth}")
-    required = [v.coords in model.required for v in model.variables]
-    subs = [model.domains()]
-    for _ in range(depth):
-        nxt = []
-        for doms in subs:
-            k = next((k for k, (lo, hi) in enumerate(doms) if lo < hi), None)
-            if k is None:
-                nxt.append(doms)
-                continue
-            for val in _value_order(*doms[k], required[k]):
-                nxt.append(doms[:k] + ((val, val),) + doms[k + 1 :])
-        subs = nxt
+    doms = model.domains()
+    cells = [k for k, (lo, hi) in enumerate(doms) if lo < hi][:depth]
+    parts = math.prod(doms[k][1] - doms[k][0] + 1 for k in cells)
+    if parts > MAX_SPLIT_PARTS:
+        raise InvalidInputError(
+            f"split depth {depth} makes {parts} subproblems;"
+            f" at most {MAX_SPLIT_PARTS} are allowed"
+        )
+    orders = [_value_order(*doms[k], CELLS[k] in model.required) for k in cells]
+    subs = []
+    for values in itertools.product(*orders):
+        part = list(doms)
+        for k, v in zip(cells, values):
+            part[k] = (v, v)
+        subs.append(tuple(part))
     return subs
 
 
@@ -590,16 +640,17 @@ def _deadline(options: SearchOptions, start: float) -> float | None:
     return None if options.time_budget is None else start + options.time_budget
 
 
-def ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
-    """Lazy ``map(fn, items)``, in item order, over one process pool when
-    there is more than one job.  Closing it early terminates the pool, so
-    no item runs on: neither those not yet started nor the running ones."""
+@contextmanager
+def workers(jobs: int) -> Iterator[Callable]:
+    """A lazy map in item order for one call: builtin ``map`` for one
+    job, else ``imap`` over one process pool.  Leaving the block
+    terminates the pool, so no item runs on: neither those not yet
+    started nor the running ones."""
     if jobs == 1:
-        yield from map(fn, items)
+        yield map
         return
-    # leaving the block terminates the workers
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(fn, items)
+        yield pool.imap
 
 
 def _subproblem_tasks(
@@ -607,10 +658,12 @@ def _subproblem_tasks(
     subs: dict[int, _Domains],
     options: SearchOptions,
     deadline: float | None,
-) -> dict[int, tuple[Model, _Domains, SearchOptions, float | None]]:
+    bound: int | None = None,
+) -> dict[int, tuple[Model, _Domains, SearchOptions, float | None, int | None]]:
     """Serial search tasks by subproblem index, each the parent model
-    with the part's start domains, together spending no more nodes than
-    one serial search of the parent may, and sharing its deadline.
+    with the part's start domains and the objective level's bound,
+    together spending no more nodes than one serial search of the parent
+    may, and sharing its deadline.
 
     A search with node budget b counts at most b + 1 nodes, so the
     parent's b + 1 are dealt out evenly and a share s becomes budget
@@ -620,57 +673,59 @@ def _subproblem_tasks(
     opts = replace(options, jobs=1)
     nb = options.node_budget
     if nb is None:
-        return {i: (model, doms, opts, deadline) for i, doms in subs.items()}
+        return {i: (model, doms, opts, deadline, bound) for i, doms in subs.items()}
     q, r = divmod(nb + 1, len(subs) or 1)
     shares = [q + (n < r) for n in range(len(subs))]
     return {
-        i: (model, doms, replace(opts, node_budget=share - 1), deadline)
+        i: (model, doms, replace(opts, node_budget=share - 1), deadline, bound)
         for (i, doms), share in zip(subs.items(), shares)
         if share
     }
 
 
 def _searched(run: Callable, task: tuple):
-    model, domains, options, deadline = task
+    model, domains, options, deadline, bound = task
     comp = _compiled(model, options.symmetry)
-    return run(_Search(comp, options, deadline, domains))
+    return run(_Search(comp, options, deadline, domains, bound))
 
 
 def _decide(
+    pmap: Callable,
     model: Model,
     subs: list[_Domains],
     options: SearchOptions,
     deadline: float | None,
     stored: dict[int, tuple],
     record: Callable | None,
+    bound: int | None = None,
 ) -> tuple[str, tuple[int, ...] | None, Counter]:
     """Status, witness and stats merged over a partition, in its order.
 
     Subproblem i gives ``stored[i]`` if present, else a fresh search
-    whose result goes to ``record(i, result)`` first.  The first
-    ``sat`` ends the merge with that part's witness, which is already
-    in the parent's canonical form.
+    run through ``pmap``, a `workers` map, whose result goes to
+    ``record(i, result)`` first.  The first ``sat`` ends the merge with
+    that part's witness, which is already in the parent's canonical
+    form; the caller's leaving its `workers` block stops the rest.
     """
     pending = {i: doms for i, doms in enumerate(subs) if i not in stored}
-    tasks = _subproblem_tasks(model, pending, options, deadline)
-    run = partial(_searched, _Search.run_decision)
+    tasks = _subproblem_tasks(model, pending, options, deadline, bound)
+    fresh = pmap(partial(_searched, _Search.run_decision), tasks.values())
     stats: Counter = Counter()
     status_all = "unsat"
-    with closing(ordered_map(run, tasks.values(), options.jobs)) as fresh:
-        for i in range(len(subs)):
-            if i in tasks:
-                result = next(fresh)
-                if record is not None:
-                    record(i, result)
-            else:
-                # no record and no share of the node budget: not searched
-                result = stored.get(i, ("timeout", None, Counter()))
-            status, vec, st = result
-            stats.update(st)
-            if status == "sat":
-                return "sat", vec, stats
-            if status == "timeout":
-                status_all = "timeout"
+    for i in range(len(subs)):
+        if i in tasks:
+            result = next(fresh)
+            if record is not None:
+                record(i, result)
+        else:
+            # no record and no share of the node budget: not searched
+            result = stored.get(i, ("timeout", None, Counter()))
+        status, vec, st = result
+        stats.update(st)
+        if status == "sat":
+            return "sat", vec, stats
+        if status == "timeout":
+            status_all = "timeout"
     return status_all, None, stats
 
 
@@ -691,51 +746,45 @@ def _result(
     )
 
 
-def solve(
-    model: Model, options: SearchOptions | None = None, cat: Catalog | None = None
-) -> SearchResult:
+def solve(model: Model, options: SearchOptions | None = None) -> SearchResult:
     """Decide or optimize the model; verdicts are final unless 'timeout'.
 
+    An objective is searched one bound level at a time, from the
+    surrogate floor up (minimise) or the domain total down (maximise).
     The budgets cover the whole call: every job and objective level.
     """
     options = options or SearchOptions()
     # one job searches the model itself, so node counts match a plain
     # search; more jobs split it on its first free cell
-    depth = int(options.jobs > 1)
+    subs = split_subproblems(model, int(options.jobs > 1))
     if model.objective is None:
-        subs = split_subproblems(model, depth)
         return solve_subproblems(model, subs, {}, None, options)
-    if model.objective not in ("minimize-total", "maximize-total"):
+    if model.objective not in _LEVEL_SENSE:
         raise InvalidInputError(f"unknown objective {model.objective!r}")
 
-    cat = cat or catalog()
     start = time.monotonic()
     deadline = _deadline(options, start)
     total_stats: Counter = Counter()
-    if model.objective == "minimize-total":
-        bound, step, sense = _surrogate_floor(model, cat), 1, "le"
-    else:
-        bound, step, sense = sum(v.hi for v in model.variables), -1, "ge"
     lo_total = sum(v.lo for v in model.variables)
     hi_total = sum(v.hi for v in model.variables)
+    if model.objective == "minimize-total":
+        bound, step = _surrogate_floor(model), 1
+    else:
+        bound, step = hi_total, -1
     nb = options.node_budget
-    while lo_total <= bound <= hi_total:
-        level = replace(
-            model,
-            constraints=model.constraints
-            + (LinearConstraint("objective-bound", sense, CELLS, bound),),
-            objective=None,
-        )
-        used = total_stats["nodes"]
-        opts = replace(options, node_budget=None if nb is None else max(0, nb - used))
-        subs = split_subproblems(level, depth)
-        status, vec, stats = _decide(level, subs, opts, deadline, {}, None)
-        total_stats.update(stats)
-        if status == "sat":
-            return _result(model, start, "optimal", vec, total_stats, sum(vec))
-        if status == "timeout":
-            return _result(model, start, "timeout", None, total_stats)
-        bound += step
+    with workers(options.jobs) as pmap:
+        while lo_total <= bound <= hi_total:
+            left = None if nb is None else max(0, nb - total_stats["nodes"])
+            opts = replace(options, node_budget=left)
+            status, vec, stats = _decide(
+                pmap, model, subs, opts, deadline, {}, None, bound
+            )
+            total_stats.update(stats)
+            if status == "sat":
+                return _result(model, start, "optimal", vec, total_stats, sum(vec))
+            if status == "timeout":
+                return _result(model, start, "timeout", None, total_stats)
+            bound += step
     return _result(model, start, "unsat", None, total_stats)
 
 
@@ -755,7 +804,8 @@ def solve_subproblems(
     options = options or SearchOptions()
     start = time.monotonic()
     deadline = _deadline(options, start)
-    decided = _decide(model, subs, options, deadline, stored, record)
+    with workers(options.jobs) as pmap:
+        decided = _decide(pmap, model, subs, options, deadline, stored, record)
     return _result(model, start, *decided)
 
 
@@ -770,9 +820,10 @@ def enumerate_all(
     run = partial(_searched, _Search.run_enumerate)
     complete = len(tasks) == len(subs)
     found = set()
-    for flag, vecs in ordered_map(run, tasks.values(), options.jobs):
-        complete = complete and flag
-        found.update(vecs)
+    with workers(options.jobs) as pmap:
+        for flag, vecs in pmap(run, tasks.values()):
+            complete = complete and flag
+            found.update(vecs)
     out = []
     for vec in sorted(found):
         inst = Instance.from_vector(vec)

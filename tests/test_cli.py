@@ -229,6 +229,10 @@ _CAPPED_24 = ["search", "max-infeasible", "--size", "24", "--mode", "capped"]
         (None, ["export", "min-universal", "--format", "lp", "--out", "{tmp}"], 2),
         (None, ["export", "min-universal", "--format", "lp",
                 "--out", "{tmp}/missing/m.lp"], 2),
+        # a split of 3**30 parts; the checkpoint file is usable, so the
+        # error is the split's own and names no file
+        (None, [*_CAPPED_24, "--checkpoint={tmp}/run.jsonl",
+                "--split-depth", "40", "--node-budget", "5"], 2),
     ],
 )
 def test_bad_input_exits_without_traceback(

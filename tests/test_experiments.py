@@ -20,7 +20,6 @@ from eightblocks.experiments import (
     _verify_generates_exactly,
     census_csv,
     checkpointed_solve,
-    explore_open_problems,
     oracle_agreement,
     reference_instances,
     row_restricted_max_infeasible,
@@ -173,14 +172,14 @@ def test_verify_generates_exactly_raises(cat):
 def test_checkpoint_round_trip(tmp_path, cat):
     path = tmp_path / "run.jsonl"
     model = _row_model(24, 1, cat)
-    res = checkpointed_solve(model, path, split_depth=2, cat=cat)
+    res = checkpointed_solve(model, path, split_depth=2)
     assert res.status == "unsat" and res.complete
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     assert header["model"] == model.name
     assert header["subproblems"] == len(lines) - 1
     # a finished run resumes to the same verdict without re-solving
-    again = checkpointed_solve(model, path, split_depth=2, cat=cat)
+    again = checkpointed_solve(model, path, split_depth=2)
     assert again.status == "unsat"
     assert path.read_text().splitlines() == lines
 
@@ -188,7 +187,7 @@ def test_checkpoint_round_trip(tmp_path, cat):
 def test_checkpoint_sat_stops_early(tmp_path, cat):
     path = tmp_path / "sat.jsonl"
     model = _row_model(23, 1, cat)
-    res = checkpointed_solve(model, path, split_depth=1, cat=cat)
+    res = checkpointed_solve(model, path, split_depth=1)
     assert res.status == "sat"
     assert res.witness.size == 23
     recs = [json.loads(l) for l in path.read_text().splitlines()[1:]]
@@ -198,11 +197,11 @@ def test_checkpoint_sat_stops_early(tmp_path, cat):
 
 def test_checkpoint_header_mismatch(tmp_path, cat):
     path = tmp_path / "run.jsonl"
-    checkpointed_solve(_row_model(24, 1, cat), path, split_depth=1, cat=cat)
+    checkpointed_solve(_row_model(24, 1, cat), path, split_depth=1)
     with pytest.raises(ExperimentError):
-        checkpointed_solve(_row_model(24, 2, cat), path, split_depth=1, cat=cat)
+        checkpointed_solve(_row_model(24, 2, cat), path, split_depth=1)
     with pytest.raises(ExperimentError):
-        checkpointed_solve(_row_model(24, 1, cat), path, split_depth=2, cat=cat)
+        checkpointed_solve(_row_model(24, 1, cat), path, split_depth=2)
 
 
 def test_checkpoint_of_an_earlier_format_is_refused(tmp_path, cat):
@@ -219,16 +218,16 @@ def test_checkpoint_of_an_earlier_format_is_refused(tmp_path, cat):
     record = {"index": 0, "status": "unsat", "nodes": 1, "prunes": {}, "witness": None}
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
     with pytest.raises(ExperimentError, match=str(path)):
-        checkpointed_solve(model, path, split_depth=1, cat=cat)
+        checkpointed_solve(model, path, split_depth=1)
 
 
 def test_checkpoint_tolerates_torn_line(tmp_path, cat):
     path = tmp_path / "run.jsonl"
     model = _row_model(24, 1, cat)
-    checkpointed_solve(model, path, split_depth=1, cat=cat)
+    checkpointed_solve(model, path, split_depth=1)
     whole = path.read_text().splitlines()
     path.write_text("\n".join(whole[:3]) + '\n{"index": 3, "stat')
-    res = checkpointed_solve(model, path, split_depth=1, cat=cat)
+    res = checkpointed_solve(model, path, split_depth=1)
     assert res.status == "unsat"
 
 
@@ -246,11 +245,11 @@ def test_checkpoint_tolerates_torn_line(tmp_path, cat):
 def test_checkpoint_rejects_malformed_records(tmp_path, cat, record):
     path = tmp_path / "run.jsonl"
     model = _row_model(24, 1, cat)
-    checkpointed_solve(model, path, split_depth=1, cat=cat)
+    checkpointed_solve(model, path, split_depth=1)
     header = path.read_text().splitlines()[0]
     path.write_text(f"{header}\n{record}\n")
     with pytest.raises(ExperimentError, match="line 2"):
-        checkpointed_solve(model, path, split_depth=1, cat=cat)
+        checkpointed_solve(model, path, split_depth=1)
 
 
 @functools.cache
@@ -274,11 +273,11 @@ def test_checkpoint_resumes_after_a_cut_at_any_byte(cat, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.jsonl"
         path.write_bytes(whole[:cut])
-        assert checkpointed_solve(model, path, split_depth=1, cat=cat).status == "unsat"
+        assert checkpointed_solve(model, path, split_depth=1).status == "unsat"
         resumed = path.read_bytes()
         # a second resume re-solves nothing, so every line of the first
         # one parsed and no record was written onto a torn one
-        assert checkpointed_solve(model, path, split_depth=1, cat=cat).status == "unsat"
+        assert checkpointed_solve(model, path, split_depth=1).status == "unsat"
         assert path.read_bytes() == resumed
     assert resumed.endswith(b"\n")
     lines = resumed.decode().splitlines()
@@ -289,10 +288,10 @@ def test_checkpoint_retries_timeouts(tmp_path, cat):
     path = tmp_path / "run.jsonl"
     model = _row_model(24, 1, cat)
     starved = checkpointed_solve(
-        model, path, SearchOptions(node_budget=1), split_depth=1, cat=cat
+        model, path, SearchOptions(node_budget=1), split_depth=1
     )
     assert starved.status == "timeout" and not starved.complete
-    done = checkpointed_solve(model, path, split_depth=1, cat=cat)
+    done = checkpointed_solve(model, path, split_depth=1)
     assert done.status == "unsat"
     recs = [json.loads(l) for l in path.read_text().splitlines()[1:]]
     by_index = {}
@@ -304,7 +303,7 @@ def test_checkpoint_retries_timeouts(tmp_path, cat):
 def test_checkpoint_node_budget_covers_the_call(tmp_path, cat):
     model = max_infeasible_model(24, mode="capped", cat=cat)
     res = checkpointed_solve(
-        model, tmp_path / "run.jsonl", SearchOptions(node_budget=100), cat=cat
+        model, tmp_path / "run.jsonl", SearchOptions(node_budget=100)
     )
     assert res.status == "timeout"
     # as many nodes as one plain search with the same budget may count
@@ -315,7 +314,7 @@ def test_checkpoint_time_budget_covers_the_call(tmp_path, cat):
     model = max_infeasible_model(24, mode="full", cat=cat)
     start = time.monotonic()
     res = checkpointed_solve(
-        model, tmp_path / "run.jsonl", SearchOptions(time_budget=0.25), cat=cat
+        model, tmp_path / "run.jsonl", SearchOptions(time_budget=0.25)
     )
     assert res.status == "timeout"
     # 64 subproblems share one deadline, rather than taking 0.25 s each
@@ -327,13 +326,13 @@ def test_checkpoint_witness_is_parent_canonical_under_jobs(tmp_path, cat):
     witnesses = []
     for jobs in (1, 2):
         path = tmp_path / f"jobs-{jobs}.jsonl"
-        res = checkpointed_solve(model, path, SearchOptions(jobs=jobs), cat=cat)
+        res = checkpointed_solve(model, path, SearchOptions(jobs=jobs))
         assert res.status == "sat"
         statuses = [json.loads(l)["status"] for l in path.read_text().splitlines()[1:]]
         assert statuses.index("sat") == len(statuses) - 1
         witnesses.append(res.witness.vector())
     # the split walks the serial tree, so it meets the serial witness
-    assert witnesses[0] == witnesses[1] == solve(model, cat=cat).witness.vector()
+    assert witnesses[0] == witnesses[1] == solve(model).witness.vector()
     index = group_index(cat)
     perms = [cell_perms(cat)[index[s]] for s in admissible_symmetries(model, cat)]
     assert least_image(witnesses[0], perms) == witnesses[0]
@@ -341,38 +340,15 @@ def test_checkpoint_witness_is_parent_canonical_under_jobs(tmp_path, cat):
 
 def test_checkpoint_rejects_objective_models(tmp_path, cat):
     with pytest.raises(InvalidInputError):
-        checkpointed_solve(min_universal_model(cat), tmp_path / "x.jsonl", cat=cat)
+        checkpointed_solve(min_universal_model(cat), tmp_path / "x.jsonl")
 
 
-# ----------------------------------------------------------------------
-# exploration families
-
-
-def test_explore_empty_and_explicit(cat):
-    entries = explore_open_problems({"family": "empty"}, cat)
-    assert len(entries) == 1
-    assert entries[0].status == "sat"
-    assert entries[0].witness.size == 0
-    picked = explore_open_problems(
-        {"family": "explicit", "sets": [[(2, 3)]]}, cat
-    )
-    assert picked[0].label == "set-0"
-    assert picked[0].status == "sat"
-    assert solution_set(picked[0].witness, cat) == {(2, 3)}
-
-
-def test_explore_rows_budgeted_records_timeouts(cat):
-    entries = explore_open_problems(
-        {"family": "rows", "node_budget": 50}, cat
-    )
-    assert len(entries) == 6
-    assert {e.label for e in entries} == {f"row-{r}" for r in range(1, 7)}
-    assert all(e.status in ("sat", "unsat", "timeout") for e in entries)
-    assert all(e.witness is None for e in entries if e.status == "timeout")
-
-
-def test_explore_bad_family(cat):
-    with pytest.raises(InvalidInputError):
-        explore_open_problems({"family": "diagonals"}, cat)
-    with pytest.raises(InvalidInputError):
-        explore_open_problems({"family": "explicit"}, cat)
+def test_oversized_split_is_refused_before_any_file(tmp_path, cat):
+    # capped 24 split 40 deep would fix all 30 cells: 3**30 subproblems
+    path = tmp_path / "run.jsonl"
+    model = max_infeasible_model(24, mode="capped", cat=cat)
+    start = time.monotonic()
+    with pytest.raises(InvalidInputError, match="subproblems"):
+        checkpointed_solve(model, path, SearchOptions(node_budget=5), split_depth=40)
+    assert time.monotonic() - start < 1.0
+    assert not path.exists()

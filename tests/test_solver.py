@@ -1,6 +1,7 @@
 """Backtracking engine: verdicts, budgets, symmetry handling, enumeration."""
 
 import functools
+import multiprocessing
 import time
 from collections import Counter
 from dataclasses import replace
@@ -21,10 +22,12 @@ from eightblocks.model import (
     min_universal_model,
 )
 from eightblocks.solver import (
+    MAX_SPLIT_PARTS,
     N_CELLS,
     SearchOptions,
     _Compiled,
     _Search,
+    _compiled,
     admissible_symmetries,
     enumerate_all,
     solve,
@@ -61,15 +64,15 @@ def test_immediate_unsat_by_propagation(cat):
     m = _uniform_model(
         "toy-unsat", 8, [LinearConstraint("too-much", "ge", ((1, 2),), 9)]
     )
-    res = solve(m, cat=cat)
+    res = solve(m)
     assert res.status == "unsat" and res.complete
     assert res.witness is None and res.nodes == 1
 
 
 def test_singleton_existence_sat_and_deterministic(cat):
     m = existence_model([(3, 4)], mode="capped", cat=cat)
-    a = solve(m, cat=cat)
-    b = solve(m, cat=cat)
+    a = solve(m)
+    b = solve(m)
     assert a.status == b.status == "sat" and a.complete
     assert solution_set(a.witness, cat) == {(3, 4)}
     assert a.witness == b.witness and a.nodes == b.nodes
@@ -77,31 +80,31 @@ def test_singleton_existence_sat_and_deterministic(cat):
 
 def test_symmetry_off_same_verdicts(cat):
     m = existence_model([(1, 2)], mode="capped", cat=cat)
-    on = solve(m, SearchOptions(symmetry=True), cat=cat)
-    off = solve(m, SearchOptions(symmetry=False), cat=cat)
+    on = solve(m, SearchOptions(symmetry=True))
+    off = solve(m, SearchOptions(symmetry=False))
     assert on.status == off.status == "sat"
     assert solution_set(off.witness, cat) == {(1, 2)}
     # row-supported size 24 cannot avoid composing something
     r24 = _row_restricted(max_infeasible_model(24, mode="full", cat=cat), 1)
-    assert solve(r24, SearchOptions(symmetry=True), cat=cat).status == "unsat"
-    assert solve(r24, SearchOptions(symmetry=False), cat=cat).status == "unsat"
+    assert solve(r24, SearchOptions(symmetry=True)).status == "unsat"
+    assert solve(r24, SearchOptions(symmetry=False)).status == "unsat"
 
 
 def test_node_budget_timeout(cat):
     m = existence_model([(1, 2)], mode="capped", cat=cat)
-    res = solve(m, SearchOptions(node_budget=2), cat=cat)
+    res = solve(m, SearchOptions(node_budget=2))
     assert res.status == "timeout" and not res.complete
     assert res.witness is None and res.nodes <= 3
 
 
 def test_node_budget_holds_under_jobs(cat):
     m = max_infeasible_model(24, mode="capped", cat=cat)
-    serial = solve(m, SearchOptions(jobs=1, node_budget=2000), cat=cat)
-    par = solve(m, SearchOptions(jobs=2, node_budget=2000), cat=cat)
+    serial = solve(m, SearchOptions(jobs=1, node_budget=2000))
+    par = solve(m, SearchOptions(jobs=2, node_budget=2000))
     assert serial.status == par.status == "timeout"
     assert serial.nodes == 2001 and par.nodes <= serial.nodes
     # a budget smaller than the subproblem count leaves some unsearched
-    tiny = solve(m, SearchOptions(jobs=2, node_budget=1), cat=cat)
+    tiny = solve(m, SearchOptions(jobs=2, node_budget=1))
     assert tiny.status == "timeout" and tiny.nodes <= 2
     r23 = _row_restricted(max_infeasible_model(23, mode="full", cat=cat), 1)
     _, complete = enumerate_all(r23, SearchOptions(jobs=2, node_budget=1))
@@ -110,7 +113,7 @@ def test_node_budget_holds_under_jobs(cat):
 
 def test_time_budget_timeout(cat):
     m = max_infeasible_model(24, mode="capped", cat=cat)
-    res = solve(m, SearchOptions(time_budget=0.25), cat=cat)
+    res = solve(m, SearchOptions(time_budget=0.25))
     assert res.status == "timeout" and not res.complete
 
 
@@ -119,7 +122,7 @@ def test_time_budget_holds_under_jobs(cat):
     # taking the budget each
     m = max_infeasible_model(24, mode="full", cat=cat)
     start = time.monotonic()
-    res = solve(m, SearchOptions(time_budget=1.0, jobs=2), cat=cat)
+    res = solve(m, SearchOptions(time_budget=1.0, jobs=2))
     assert res.status == "timeout"
     assert time.monotonic() - start < 2.5
 
@@ -155,8 +158,8 @@ def _admissible_perms(model, cat):
 
 def test_parallel_jobs_same_answers(cat):
     m = existence_model([(2, 5)], mode="capped", cat=cat)
-    seq = solve(m, SearchOptions(jobs=1), cat=cat)
-    par = solve(m, SearchOptions(jobs=2), cat=cat)
+    seq = solve(m, SearchOptions(jobs=1))
+    par = solve(m, SearchOptions(jobs=2))
     assert seq.status == par.status == "sat"
     assert solution_set(par.witness, cat) == {(2, 5)}
     # the parts search the serial tree, so they meet its witness first,
@@ -194,20 +197,26 @@ def test_minimize_toy(cat):
         objective="minimize-total",
         required=frozenset({(1, 2)}),
     )
-    res = solve(m, cat=cat)
+    res = solve(m)
     assert res.status == "optimal" and res.objective == 8
     assert res.witness.size == 8
     assert (1, 2) in solution_set(res.witness, cat)
 
 
-def test_maximize_toy(cat):
-    m = _uniform_model(
+def _stuffed():
+    """Maximise the total under a room row of 5: levels 60 down to 5."""
+    return _uniform_model(
         "stuffed", 2, [LinearConstraint("room", "le", CELLS, 5)],
         objective="maximize-total",
     )
-    # symmetry off: dominance is recompiled per deepening level and the
-    # toy has dozens of trivially infeasible levels
-    res = solve(m, SearchOptions(symmetry=False), cat=cat)
+
+
+def test_maximize_toy(cat):
+    m = _stuffed()
+    # all 56 levels share one compile
+    _compiled.cache_clear()
+    res = solve(m)
+    assert _compiled.cache_info().misses == 1
     assert res.status == "optimal" and res.objective == 5
     assert res.witness.size == 5
     # levels 60..6 merge with the room row into an empty interval
@@ -216,10 +225,25 @@ def test_maximize_toy(cat):
     assert res.prunes == {"prune_linear": 55, "sat_leaves": 1}
 
 
+def test_maximize_toy_opens_one_pool(monkeypatch):
+    pools = []
+    real_pool = multiprocessing.Pool
+
+    def counted(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counted)
+    res = solve(_stuffed(), SearchOptions(jobs=2))
+    # one pool serves every level of the call
+    assert len(pools) == 1
+    assert res.status == "optimal" and res.objective == 5
+
+
 def test_unknown_objective_rejected(cat):
     m = replace(max_infeasible_model(9, cat=cat), objective="maximize-entropy")
     with pytest.raises(InvalidInputError):
-        solve(m, cat=cat)
+        solve(m)
 
 
 def test_split_subproblems_partition(cat):
@@ -235,6 +259,12 @@ def test_split_subproblems_partition(cat):
     fully = split_subproblems(_row_restricted(m, 1), depth=40)
     # splitting past the last free variable just returns the leaves
     assert all(all(lo == hi for lo, hi in s) for s in fully)
+    assert len(fully) == 9 * 3**4
+    # ten capped cells of three values each are too many parts to build
+    capped = max_infeasible_model(24, mode="capped", cat=cat)
+    assert len(split_subproblems(capped, depth=10)) == 3**10 <= MAX_SPLIT_PARTS
+    with pytest.raises(InvalidInputError, match="177147 subproblems"):
+        split_subproblems(capped, depth=11)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +301,7 @@ def test_capped_one_min_universal_pinned(cat, monkeypatch):
     calls = _count_oracle_calls(monkeypatch)
     full = min_universal_model(cat)
     m = replace(full, variables=tuple(VarietyVariable(c, 0, 1) for c in CELLS))
-    res = solve(m, cat=cat)
+    res = solve(m)
     assert res.status == "optimal" and res.objective == 12
     assert res.nodes == 4793
     assert res.prunes == {
@@ -306,8 +336,8 @@ def test_split_walks_the_serial_tree(cat, depth, nodes):
 def test_capped_one_min_universal_under_jobs(cat):
     full = min_universal_model(cat)
     m = replace(full, variables=tuple(VarietyVariable(c, 0, 1) for c in CELLS))
-    serial = solve(m, cat=cat)
-    res = solve(m, SearchOptions(jobs=2), cat=cat)
+    serial = solve(m)
+    res = solve(m, SearchOptions(jobs=2))
     assert res.status == "optimal" and res.objective == 12
     # the surrogate floor is already 12, so one level is searched: the
     # serial 4,793 nodes less its root
