@@ -481,18 +481,28 @@ def classify(
     return classify_solutions(solution_set(instance, cat, oracle))
 
 
-def universal_lower_bound(cat: Catalog | None = None) -> int:
-    """Smallest conceivable size of an instance that generates all varieties.
+def counting_floor(targets: Collection[int], cat: Catalog | None = None) -> int:
+    """Smallest conceivable size of an instance composable for every
+    target cell index in ``targets``.
 
-    Every target needs eight corner contributions and a single cube can
-    serve its own variety plus each compatible one, so the per-cube yield
-    caps the total demand.
+    Every target needs eight corner contributions and a cube serves at
+    most the targets among its own variety and the compatible ones, so
+    the largest such share caps what one cube yields.
     """
+    if not targets:
+        return 0
     cat = cat or catalog()
-    spans = {1 + len(cat.compatible_cells[k]) for k in range(len(CELLS))}
-    per_cube = max(spans)
-    demand = len(CELLS) * 8
-    return math.ceil(demand / per_cube)
+    occ = [0] * len(CELLS)
+    for t in targets:
+        occ[t] += 1
+        for k in cat.compatible_cells[t]:
+            occ[k] += 1
+    return math.ceil(8 * len(targets) / max(occ))
+
+
+def universal_lower_bound(cat: Catalog | None = None) -> int:
+    """Smallest conceivable size of an instance that generates all varieties."""
+    return counting_floor(range(len(CELLS)), cat)
 
 
 # ----------------------------------------------------------------------

@@ -111,7 +111,7 @@ class Model:
     name: str
     variables: tuple[VarietyVariable, ...]  # one per cell, canonical order
     constraints: tuple[LinearConstraint, ...]
-    objective: str | None = None  # None, 'minimize-total' or 'maximize-total'
+    objective: str | None = None  # None or 'minimize-total'
     required: frozenset[Cell] = field(default_factory=frozenset)
     forbidden: frozenset[Cell] = field(default_factory=frozenset)
     mode: str = "full"

@@ -1,13 +1,15 @@
 """Backtracking engine for the count-vector constraint models.
 
 Search walks the 30 table-cell variables with interval domains, running
-bound propagation, capped supply cuts and the composability oracles at
-every node.  The model's required and forbidden target sets are decided
-by the tree oracle, never by their 256-subset families; the linear
-constraints and each forbidden target's cap bounds are handled by plain
-arithmetic.  Variables are chosen required targets first, then by
-smallest domain; required cells try values high to low, others low to
-high.
+bound propagation and the composability oracles at every node.  The
+model's required and forbidden target sets are decided by the tree
+oracle, never by their 256-subset families; the linear constraints and
+each forbidden target's cap bounds are handled by plain arithmetic.  A
+target's running sum of the counts that can serve it screens the oracle:
+a required target whose upper bounds sum below eight, or a forbidden
+one whose lower bounds do, is settled without it.  Variables are chosen
+required targets first, then by smallest domain; required cells try
+values high to low, others low to high.
 
 Propagation is event-driven: a constraint is re-examined only when a
 bound it reads has moved since it last ran.  Linear constraints over
@@ -15,10 +17,10 @@ one cell multiset are merged into one interval row, whose lower- and
 upper-bound sums are kept up to date in place; a change to either
 bound of a member cell marks the row dirty.  A cap line reads only
 lower bounds, so only a raised ``lo`` of its own or capped cells
-queues it.  A raised ``lo`` also marks the forbidden oracles of the
-targets the cell serves, and a lowered ``hi`` the required ones.  Each
-pass runs the dirty rows in order, then the queued cap lines, then the
-dirty required and forbidden oracles, until no row is dirty.
+queues it.  A raised ``lo`` also marks the forbidden targets the cell
+serves, and a lowered ``hi`` the required ones.  Each pass runs the
+dirty rows in order, then the queued cap lines, then the dirty required
+and forbidden targets, until no row is dirty.
 
 Backtracking copies instead of trailing.  A branching node saves its
 fixpoint once: both bounds, the oracles' incremental sums and the
@@ -26,8 +28,9 @@ rows' interval sums.  It puts that state back between children, so a
 child never restores itself; its parent does.  The dirty rows, the cap
 queue and the two oracle dirty-flag lists are pending work, never
 saved: every propagation drains all four, or clears them on a
-contradiction, so a restored fixpoint has nothing pending.  Nothing is
-trailed.
+contradiction, so a restored fixpoint has nothing pending, and each
+clean required target's sum is still the one that last passed.  Nothing
+is trailed.
 
 Symmetry handling is dominance-only: each admissible table symmetry
 compares the assignment with its image cell by cell, and a branch dies
@@ -57,13 +60,14 @@ every satisfying leaf is in the parent's canonical form, and
 enumeration meets each orbit once.  Where the split cells are the ones
 the search would branch on first, the parts are its subtrees.
 
-An objective is searched one bound level at a time, and a level is a
-start parameter too: the compiled objective model carries an open row
-over all cells, and each level's search closes its lower side (maximise)
-or upper side (minimise) at the level's bound.  Every permutation maps
-that row to itself, so the group is the same at every level.  The parts
-of a split and the levels of an objective thus share one compile per
-process, and one call runs all its searches on one worker pool.
+The one objective, ``minimize-total``, is searched one bound level at a
+time from the surrogate floor up, and a level is a start parameter too:
+the compiled objective model carries an open row over all cells, and
+each level's search closes its upper side at the level's bound.  Every
+permutation maps that row to itself, so the group is the same at every
+level.  The parts of a split and the levels of an objective thus share
+one compile per process, and one call runs all its searches on one
+worker pool.
 """
 
 from __future__ import annotations
@@ -78,12 +82,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
-from .composability import composable_from_vector
+from .composability import composable_from_vector, counting_floor
 from .errors import InvalidInputError
 from .instances import Instance
 from .model import Model, cap_bounds, check_assignment
-from .symmetry import Symmetry, cell_perms, group, group_index, inverse_cell_perms
-from .varieties import CELLS, CELL_INDEX, COMPATIBLE_CAP, OWN_CAP, Catalog, catalog
+from .symmetry import cell_perms, inverse_cell_perms
+from .varieties import CELLS, CELL_INDEX, Catalog, catalog
 
 N_CELLS = len(CELLS)
 
@@ -93,9 +97,6 @@ _Watch = dict[int, tuple[list[tuple[tuple[int, ...], int]], ...]]
 
 #: interval domain of every cell, in cell order
 _Domains = tuple[tuple[int, int], ...]
-
-#: the side of the all-cells row an objective's level bound closes
-_LEVEL_SENSE = {"minimize-total": "le", "maximize-total": "ge"}
 
 #: most parts a split may have; the packaged runs use at most 729
 MAX_SPLIT_PARTS = 100_000
@@ -138,8 +139,9 @@ class _Budget(Exception):
 
 def admissible_symmetries(
     model: Model, cat: Catalog | None = None
-) -> tuple[Symmetry, ...]:
-    """Group elements that keep the model invariant.
+) -> tuple[int, ...]:
+    """Positions in `cell_perms` of the group elements that keep the
+    model invariant.
 
     An element qualifies when its cell action preserves every domain,
     maps the required and forbidden target sets onto themselves, and
@@ -149,7 +151,6 @@ def admissible_symmetries(
     the forbidden families they accompany.
     """
     cat = cat or catalog()
-    syms = group(cat)
     perms = cell_perms(cat)
     doms = tuple((v.lo, v.hi) for v in model.variables)
     req = frozenset(CELL_INDEX[c] for c in model.required)
@@ -159,7 +160,7 @@ def admissible_symmetries(
         for con in model.constraints
     )
     out = []
-    for s, p in zip(syms, perms):
+    for i, p in enumerate(perms):
         if any(doms[p[k]] != doms[k] for k in range(N_CELLS)):
             continue
         if frozenset(p[k] for k in req) != req:
@@ -171,7 +172,7 @@ def admissible_symmetries(
             for (sense, rhs, cells) in linear_sigs
         )
         if ok:
-            out.append(s)
+            out.append(i)
     return tuple(out)
 
 
@@ -200,8 +201,7 @@ class _Compiled:
                 row[2] = con.rhs if row[2] is None else min(row[2], con.rhs)
         # an objective's level bound lands on the all-cells row, open
         # here and closed by each level's search
-        self.level_sense = _LEVEL_SENSE.get(model.objective)
-        if self.level_sense is not None:
+        if model.objective is not None:
             every = tuple(range(N_CELLS))
             rows.setdefault(every, [every, None, None])
             self.level_row = list(rows).index(every)
@@ -239,11 +239,9 @@ class _Compiled:
 
         # dominance comparison needs inverses; drop the identity
         syms = admissible_symmetries(model, cat) if options.symmetry else ()
-        index, inverses = group_index(cat), inverse_cell_perms(cat)
+        inverses = inverse_cell_perms(cat)
         identity = tuple(range(N_CELLS))
-        self.inv_perms = [
-            inverses[index[s]] for s in syms if inverses[index[s]] != identity
-        ]
+        self.inv_perms = [inverses[i] for i in syms if inverses[i] != identity]
         # every comparison starts at cell 0, so cell 0 blocks them all
         self.root_watch: _Watch = (
             {0: ([(pi, 0) for pi in self.inv_perms],)} if self.inv_perms else {}
@@ -282,16 +280,13 @@ class _Search:
         start = comp.model.domains() if domains is None else domains
         self.lo = [lo for lo, _ in start]
         self.hi = [hi for _, hi in start]
-        # an objective level closes one side of the all-cells row
+        # an objective level closes the upper side of the all-cells row
         self.bound = bound
         self.linear = comp.linear
         if bound is not None:
             r = comp.level_row
             idxs, lo_rhs, hi_rhs = comp.linear[r]
-            if comp.level_sense == "ge":
-                lo_rhs = bound if lo_rhs is None else max(lo_rhs, bound)
-            else:
-                hi_rhs = bound if hi_rhs is None else min(hi_rhs, bound)
+            hi_rhs = bound if hi_rhs is None else min(hi_rhs, bound)
             self.linear = list(comp.linear)
             self.linear[r] = (idxs, lo_rhs, hi_rhs)
         self.stats: Counter[str] = Counter()
@@ -365,16 +360,6 @@ class _Search:
 
     # -- propagation ----------------------------------------------------
 
-    def _capped_supply(self, vec: list[int], t: int) -> int:
-        s = vec[t]
-        if s > OWN_CAP:
-            s = OWN_CAP
-        cap = COMPATIBLE_CAP
-        for k in self.c.usable[t][1:]:
-            n = vec[k]
-            s += n if n < cap else cap
-        return s
-
     def _fail(self, prune: str) -> bool:
         self.stats[prune] += 1
         for dirty in (self.row_dirty, self.req_dirty, self.forb_dirty):
@@ -430,24 +415,19 @@ class _Search:
                     if room < cap and room < hi[k] and not self._set_hi(k, room):
                         return self._fail("prune_capbound")
             queue.clear()
+            # a clean target's sum has not moved since it last passed
             for slot, t in enumerate(c.req_targets):
-                if self.req_sum_hi[slot] < 8:
-                    return self._fail("prune_counting")
                 if self.req_dirty[slot]:
                     self.req_dirty[slot] = False
-                    # one cube covers at most two target corners, so the
-                    # capped supply must reach eight before the oracle can
-                    if self._capped_supply(hi, t) < 8:
+                    if self.req_sum_hi[slot] < 8:
                         return self._fail("prune_counting")
                     if not composable_from_vector(hi, t, c.cat):
                         return self._fail("prune_required_oracle")
             for slot, t in enumerate(c.forb_targets):
                 if self.forb_dirty[slot]:
                     self.forb_dirty[slot] = False
-                    if (
-                        self.forb_sum_lo[slot] >= 8
-                        and self._capped_supply(lo, t) >= 8
-                        and composable_from_vector(lo, t, c.cat)
+                    if self.forb_sum_lo[slot] >= 8 and composable_from_vector(
+                        lo, t, c.cat
                     ):
                         return self._fail("prune_forbidden_oracle")
             if True not in dirty:
@@ -558,8 +538,7 @@ class _Search:
         ok = check_assignment(self.c.model, Instance.from_vector(vec)).ok
         # the level bound is checked apart from the row that propagates it
         if ok and self.bound is not None:
-            total, bound = sum(vec), self.bound
-            ok = total >= bound if self.c.level_sense == "ge" else total <= bound
+            ok = sum(vec) <= self.bound
         if not ok:
             self.stats["leaf_reject"] += 1
             return False
@@ -593,23 +572,12 @@ class _Search:
 
 def _surrogate_floor(model: Model) -> int:
     """Provable lower bound on the total count over all solutions."""
-    cat = catalog()
-    lo_total = sum(v.lo for v in model.variables)
-    best = lo_total
+    best = sum(v.lo for v in model.variables)
     for con in model.constraints:
         if con.sense in ("ge", "eq") and frozenset(con.cells) == frozenset(CELLS):
             best = max(best, con.rhs)
     req = [CELL_INDEX[c] for c in model.required]
-    if req:
-        occ = [0] * N_CELLS
-        demand = 0
-        for t in req:
-            demand += 8
-            occ[t] += 1
-            for k in cat.compatible_cells[t]:
-                occ[k] += 1
-        best = max(best, math.ceil(demand / max(occ)))
-    return best
+    return max(best, counting_floor(req))
 
 
 def split_subproblems(model: Model, depth: int = 1) -> list[_Domains]:
@@ -749,9 +717,9 @@ def _result(
 def solve(model: Model, options: SearchOptions | None = None) -> SearchResult:
     """Decide or optimize the model; verdicts are final unless 'timeout'.
 
-    An objective is searched one bound level at a time, from the
-    surrogate floor up (minimise) or the domain total down (maximise).
-    The budgets cover the whole call: every job and objective level.
+    The objective is searched one bound level at a time, from the
+    surrogate floor up.  The budgets cover the whole call: every job and
+    objective level.
     """
     options = options or SearchOptions()
     # one job searches the model itself, so node counts match a plain
@@ -759,21 +727,16 @@ def solve(model: Model, options: SearchOptions | None = None) -> SearchResult:
     subs = split_subproblems(model, int(options.jobs > 1))
     if model.objective is None:
         return solve_subproblems(model, subs, {}, None, options)
-    if model.objective not in _LEVEL_SENSE:
+    if model.objective != "minimize-total":
         raise InvalidInputError(f"unknown objective {model.objective!r}")
 
     start = time.monotonic()
     deadline = _deadline(options, start)
     total_stats: Counter = Counter()
-    lo_total = sum(v.lo for v in model.variables)
     hi_total = sum(v.hi for v in model.variables)
-    if model.objective == "minimize-total":
-        bound, step = _surrogate_floor(model), 1
-    else:
-        bound, step = hi_total, -1
     nb = options.node_budget
-    with workers(options.jobs) as pmap:
-        while lo_total <= bound <= hi_total:
+    with workers(max(1, min(options.jobs, len(subs)))) as pmap:
+        for bound in range(_surrogate_floor(model), hi_total + 1):
             left = None if nb is None else max(0, nb - total_stats["nodes"])
             opts = replace(options, node_budget=left)
             status, vec, stats = _decide(
@@ -784,7 +747,6 @@ def solve(model: Model, options: SearchOptions | None = None) -> SearchResult:
                 return _result(model, start, "optimal", vec, total_stats, sum(vec))
             if status == "timeout":
                 return _result(model, start, "timeout", None, total_stats)
-            bound += step
     return _result(model, start, "unsat", None, total_stats)
 
 
@@ -804,7 +766,7 @@ def solve_subproblems(
     options = options or SearchOptions()
     start = time.monotonic()
     deadline = _deadline(options, start)
-    with workers(options.jobs) as pmap:
+    with workers(max(1, min(options.jobs, len(subs) - len(stored)))) as pmap:
         decided = _decide(pmap, model, subs, options, deadline, stored, record)
     return _result(model, start, *decided)
 
@@ -820,7 +782,7 @@ def enumerate_all(
     run = partial(_searched, _Search.run_enumerate)
     complete = len(tasks) == len(subs)
     found = set()
-    with workers(options.jobs) as pmap:
+    with workers(max(1, min(options.jobs, len(tasks)))) as pmap:
         for flag, vecs in pmap(run, tasks.values()):
             complete = complete and flag
             found.update(vecs)

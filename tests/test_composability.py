@@ -187,6 +187,9 @@ def test_verify_arrangement_checks_each_source(cat):
 
 def test_universal_lower_bound(cat):
     assert co.universal_lower_bound(cat) == 12
+    # one target alone needs its eight corners; no target needs nothing
+    assert co.counting_floor([CELL_INDEX[(1, 2)]], cat) == 8
+    assert co.counting_floor([], cat) == 0
 
 
 def test_bulk_verdicts_match_per_call(cat):

@@ -37,7 +37,6 @@ from eightblocks.solver import (
 from eightblocks.symmetry import (
     canonical_vector,
     cell_perms,
-    group_index,
     least_image,
     orbit_vectors,
 )
@@ -151,11 +150,6 @@ def test_enumerate_matches_orbit_enumeration(cat):
     assert got == want and len(got) == 4
 
 
-def _admissible_perms(model, cat):
-    index = group_index(cat)
-    return [cell_perms(cat)[index[s]] for s in admissible_symmetries(model, cat)]
-
-
 def test_parallel_jobs_same_answers(cat):
     m = existence_model([(2, 5)], mode="capped", cat=cat)
     seq = solve(m, SearchOptions(jobs=1))
@@ -166,7 +160,8 @@ def test_parallel_jobs_same_answers(cat):
     # and it is the least image under the parent's admissible group
     vec = par.witness.vector()
     assert vec == seq.witness.vector()
-    assert least_image(vec, _admissible_perms(m, cat)) == vec
+    perms = [cell_perms(cat)[i] for i in admissible_symmetries(m, cat)]
+    assert least_image(vec, perms) == vec
     m2 = _uniform_model("all-pairs", 1, [LinearConstraint("total", "eq", CELLS, 2)])
     f1, c1 = enumerate_all(m2, SearchOptions(jobs=1))
     f2, c2 = enumerate_all(m2, SearchOptions(jobs=2))
@@ -203,29 +198,27 @@ def test_minimize_toy(cat):
     assert (1, 2) in solution_set(res.witness, cat)
 
 
-def _stuffed():
-    """Maximise the total under a room row of 5: levels 60 down to 5."""
+def _floored():
+    """Minimise the total over a floor row of 5 on the last three cells:
+    levels 0 to 4 are empty, and 0 to 3 die at their root."""
     return _uniform_model(
-        "stuffed", 2, [LinearConstraint("room", "le", CELLS, 5)],
-        objective="maximize-total",
+        "floored", 2, [LinearConstraint("floor", "ge", CELLS[-3:], 5)],
+        objective="minimize-total",
     )
 
 
-def test_maximize_toy(cat):
-    m = _stuffed()
-    # all 56 levels share one compile
+def test_minimize_toy_levels(cat):
+    # all six levels share one compile
     _compiled.cache_clear()
-    res = solve(m)
+    res = solve(_floored())
     assert _compiled.cache_info().misses == 1
     assert res.status == "optimal" and res.objective == 5
-    assert res.witness.size == 5
-    # levels 60..6 merge with the room row into an empty interval
-    # [bound, 5] and die at their root node
-    assert res.nodes == 84
-    assert res.prunes == {"prune_linear": 55, "sat_leaves": 1}
+    assert res.witness.vector() == (0,) * 27 + (1, 2, 2)
+    assert res.nodes == 63
+    assert res.prunes == {"prune_linear": 33, "sat_leaves": 1}
 
 
-def test_maximize_toy_opens_one_pool(monkeypatch):
+def test_minimize_toy_opens_one_pool(cat, monkeypatch):
     pools = []
     real_pool = multiprocessing.Pool
 
@@ -234,16 +227,29 @@ def test_maximize_toy_opens_one_pool(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", counted)
-    res = solve(_stuffed(), SearchOptions(jobs=2))
+    res = solve(_floored(), SearchOptions(jobs=2))
     # one pool serves every level of the call
-    assert len(pools) == 1
+    assert pools == [(2,)]
     assert res.status == "optimal" and res.objective == 5
+    # each root-dead level dies once in each of the three parts
+    assert res.nodes == 71
+    assert res.prunes == {"prune_linear": 42, "sat_leaves": 1}
+    # a pool has no more processes than parts: capped at one,
+    # min-universal splits into two
+    pools.clear()
+    full = min_universal_model(cat)
+    m = replace(full, variables=tuple(VarietyVariable(c, 0, 1) for c in CELLS))
+    res = solve(m, SearchOptions(jobs=4))
+    assert pools == [(2,)]
+    assert res.status == "optimal" and res.objective == 12
 
 
 def test_unknown_objective_rejected(cat):
-    m = replace(max_infeasible_model(9, cat=cat), objective="maximize-entropy")
-    with pytest.raises(InvalidInputError):
-        solve(m)
+    # the total is minimised only
+    for objective in ("maximize-entropy", "maximize-total"):
+        m = replace(max_infeasible_model(9, cat=cat), objective=objective)
+        with pytest.raises(InvalidInputError):
+            solve(m)
 
 
 def test_split_subproblems_partition(cat):
@@ -317,6 +323,33 @@ def test_capped_one_min_universal_pinned(cat, monkeypatch):
     assert calls["oracle"] == 50872
 
 
+def test_full_mode_required_screen_pinned(cat, monkeypatch):
+    # two cells take counts up to eight, so a required target's summed
+    # upper bounds can reach eight while its capped supply cannot; the
+    # oracle prunes those nodes itself, 162 of which a capped-supply
+    # screen ahead of it would file under prune_counting
+    calls = _count_oracle_calls(monkeypatch)
+    wide = {(4, 5), (4, 6)}
+    m = replace(
+        min_universal_model(cat),
+        variables=tuple(VarietyVariable(c, 0, 8 if c in wide else 1) for c in CELLS),
+    )
+    res = solve(m)
+    assert res.status == "optimal" and res.objective == 12
+    assert res.nodes == 19041
+    assert res.prunes == {
+        "prune_counting": 5167,
+        "prune_required_oracle": 4077,
+        "prune_symmetry": 481,
+        "sat_leaves": 1,
+    }
+    assert res.witness.vector() == (
+        1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0,
+        0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1,
+    )
+    assert calls["oracle"] == 200186
+
+
 @pytest.mark.parametrize("depth, nodes", [(1, 8517), (2, 8514)])
 def test_split_walks_the_serial_tree(cat, depth, nodes):
     # the parts are the serial search's subtrees: only the split's own
@@ -371,7 +404,8 @@ def _merged_rows(model):
 
 
 def _full_sweep(s, rows):
-    """Reference propagation: every row and cap line on every pass.
+    """Reference propagation: every row, cap line and required sum on
+    every pass.
 
     Returns the prune key of the contradiction, or None at a fixpoint.
     """
@@ -422,17 +456,13 @@ def _full_sweep(s, rows):
                 return "prune_counting"
             if s.req_dirty[slot]:
                 s.req_dirty[slot] = False
-                if s._capped_supply(s.hi, t) < 8:
-                    return "prune_counting"
                 if not composable_from_vector(s.hi, t, c.cat):
                     return "prune_required_oracle"
         for slot, t in enumerate(c.forb_targets):
             if s.forb_dirty[slot]:
                 s.forb_dirty[slot] = False
-                if (
-                    s.forb_sum_lo[slot] >= 8
-                    and s._capped_supply(s.lo, t) >= 8
-                    and composable_from_vector(s.lo, t, c.cat)
+                if s.forb_sum_lo[slot] >= 8 and composable_from_vector(
+                    s.lo, t, c.cat
                 ):
                     return "prune_forbidden_oracle"
     return None
