@@ -21,12 +21,16 @@ masks from the unmatched triples, and ``witness_from_report``).
 whichever certificate it prints from that one report;
 ``extract_arrangement`` and ``hall_witness`` are the per-target
 wrappers.  The matching stops as soon as all eight triples are held.
-The tree route has two kernels.  ``composable_from_vector``, the verdict the
-solver, the census, the row scan and the small-size sweep ask for, runs
-the component closure on bitmasks through per-target tables that each
-catalog builds on a target's first use, and builds no multigraph.
-``treecount_from_vector`` is the one multigraph builder and counts tree
-components with ``graphs.tree_component_count``; the per-call
+The tree route has two kernels.  ``tree_components``, the counting
+form, runs the component closure on bitmasks through per-target tables
+that each catalog builds on a target's first use, builds no multigraph,
+and stops counting at a cap the caller names.  The solver, the census,
+the row scan and the small-size sweep ask it for a verdict
+(``composable_from_vector``, tree components at most the own count),
+and the solver's forbidden targets for a bound: the count at the lower
+bounds caps a forbidden target's own count.  ``treecount_from_vector``
+is the one multigraph builder and counts tree components with
+``graphs.tree_component_count``; the per-call
 ``is_composable_treecount`` (and so ``check``'s cross-check) and the
 bulk scan use it, the bulk scan once per capped count pattern (each
 compatible count capped at two, which cannot change a tree count), not
@@ -364,22 +368,18 @@ def _tree_tables(
     return tables
 
 
-def composable_from_vector(
-    vec: Sequence[int], target_index: int, cat: Catalog
-) -> bool:
-    """Tree-route verdict for one target of a list or tuple of counts.
+def tree_components(
+    vec: Sequence[int], target_index: int, cat: Catalog, stop: int
+) -> int:
+    """Tree components of the target's shared-triple multigraph, counted
+    up to ``stop``: ``min(treecount_from_vector(vec, t, cat), stop)``.
 
-    The same verdict as ``vec[t] >= treecount_from_vector(vec, t, cat)``
-    without building the multigraph.  The cells with a count and those
-    with two or more are two cell masks; each component is grown from
-    its least node to a fixpoint through the target's tables, and it is
-    a tree when none of its edges is multiple and it has one edge fewer
-    than nodes.  The answer is False as soon as the trees outnumber the
-    target's own cubes.
+    Builds no multigraph.  The cells with a count and those with two or
+    more are two cell masks; each component is grown from its least node
+    to a fixpoint through the target's tables, and it is a tree when none
+    of its edges is multiple and it has one edge fewer than nodes.  The
+    count stops as soon as it reaches ``stop``, which is at least one.
     """
-    own = vec[target_index]
-    if own >= 8:  # there are at most eight tree components
-        return True
     tables = cat.tree_tables[target_index] or _tree_tables(cat, target_index)
     inc, ends0, ends1, ends2 = tables
     try:
@@ -401,9 +401,20 @@ def composable_from_vector(
         left ^= c
         if not e & multi and e.bit_count() == c.bit_count() - 1:
             trees += 1
-            if trees > own:
-                return False
-    return True
+            if trees == stop:
+                return trees
+    return trees
+
+
+def composable_from_vector(
+    vec: Sequence[int], target_index: int, cat: Catalog
+) -> bool:
+    """Tree-route verdict for one target of a list or tuple of counts:
+    ``vec[t] >= treecount_from_vector(vec, t, cat)``, on the counting
+    form, which stops once the trees outnumber the target's own cubes.
+    There are at most eight tree components."""
+    own = vec[target_index]
+    return own >= 8 or tree_components(vec, target_index, cat, own + 1) <= own
 
 
 def composable_targets(vec: Sequence[int], cat: Catalog) -> Iterator[int]:
@@ -413,7 +424,7 @@ def composable_targets(vec: Sequence[int], cat: Catalog) -> Iterator[int]:
     compatible count at ``COMPATIBLE_CAP``) is summed first; a target
     whose supply falls short of eight cannot be matched, so the tree
     route runs only on the others.  The verdicts are those of
-    ``composable_from_vector``.
+    ``composable_from_vector``, which is inlined here.
     """
     supply = [0] * len(CELLS)
     for k, n in enumerate(vec):
@@ -421,8 +432,10 @@ def composable_targets(vec: Sequence[int], cat: Catalog) -> Iterator[int]:
             for t, cap in cat.supply_caps[k]:
                 supply[t] += n if n < cap else cap
     for t, s in enumerate(supply):
-        if s >= 8 and composable_from_vector(vec, t, cat):
-            yield t
+        if s >= 8:
+            own = vec[t]
+            if own >= 8 or tree_components(vec, t, cat, own + 1) <= own:
+                yield t
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ edges, so both can be exercised independently of the cube layer.
 
 ``tree_component_count`` is the reference implementation of the tree
 criterion: the per-call and bulk tree oracles and the table
-construction's layout check reach it.  The count-vector verdict
-``composability.composable_from_vector`` has its own table-driven
-bitmask kernel and is checked against this one.
+construction's layout check reach it.  The count-vector kernel
+``composability.tree_components`` has its own table-driven bitmask
+closure and is checked against this one.
 """
 
 from __future__ import annotations

@@ -5,11 +5,20 @@ bound propagation and the composability oracles at every node.  The
 model's required and forbidden target sets are decided by the tree
 oracle, never by their 256-subset families; the linear constraints and
 each forbidden target's cap bounds are handled by plain arithmetic.  A
-target's running sum of the counts that can serve it screens the oracle:
-a required target whose upper bounds sum below eight, or a forbidden
-one whose lower bounds do, is settled without it.  Variables are chosen
-required targets first, then by smallest domain; required cells try
-values high to low, others low to high.
+required target whose upper bounds over the cells that can serve it sum
+below eight is settled without the oracle.  A forbidden target gets a
+bound, not just a verdict.  It composes exactly when its own count
+reaches the number of tree components of its shared-triple multigraph,
+and that number never rises when a count rises, so every completion
+keeps the own count below the number at the lower bounds: the target's
+``hi`` drops to one less, and the node fails when its ``lo`` already
+reaches it.  A tree component of n nodes has n - 1 edges and any other
+of m nodes at least m, so the number is at least eight less the
+compatible cells' lower bounds.  Where that exceeds the target's
+``hi`` (the lower bounds of its serving cells, its own ``hi`` in place
+of its ``lo``, sum below eight), the count is skipped.  Variables are
+chosen required targets first, then by smallest domain; required cells
+try values high to low, others low to high.
 
 Propagation is event-driven: a constraint is re-examined only when a
 bound it reads has moved since it last ran.  Linear constraints over
@@ -20,7 +29,8 @@ lower bounds, so only a raised ``lo`` of its own or capped cells
 queues it.  A raised ``lo`` also marks the forbidden targets the cell
 serves, and a lowered ``hi`` the required ones.  Each pass runs the
 dirty rows in order, then the queued cap lines, then the dirty required
-and forbidden targets, until no row is dirty.
+and forbidden targets, until nothing is pending: a forbidden target's
+lowered ``hi`` can mark rows and required targets after their turn.
 
 Backtracking copies instead of trailing.  A branching node saves its
 fixpoint once: both bounds, the oracles' incremental sums and the
@@ -75,6 +85,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import os
 import time
 from collections import Counter
 from collections.abc import Callable, Iterator
@@ -82,7 +93,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
-from .composability import composable_from_vector, counting_floor
+from .composability import composable_from_vector, counting_floor, tree_components
 from .errors import InvalidInputError
 from .instances import Instance
 from .model import Model, cap_bounds, check_assignment
@@ -423,14 +434,20 @@ class _Search:
                         return self._fail("prune_counting")
                     if not composable_from_vector(hi, t, c.cat):
                         return self._fail("prune_required_oracle")
+            # a forbidden target's own count stays below its tree count
+            # at lo, which exceeds hi[t] below the screen
             for slot, t in enumerate(c.forb_targets):
                 if self.forb_dirty[slot]:
                     self.forb_dirty[slot] = False
-                    if self.forb_sum_lo[slot] >= 8 and composable_from_vector(
-                        lo, t, c.cat
-                    ):
+                    if self.forb_sum_lo[slot] - lo[t] + hi[t] < 8:
+                        continue
+                    tc = tree_components(lo, t, c.cat, hi[t] + 1)
+                    if tc <= lo[t]:
                         return self._fail("prune_forbidden_oracle")
-            if True not in dirty:
+                    if tc <= hi[t]:
+                        self._set_hi(t, tc - 1)  # above lo[t], so it holds
+            # a lowered hi marks rows and required targets only
+            if True not in dirty and True not in self.req_dirty:
                 return True
 
     # -- symmetry dominance ---------------------------------------------
@@ -608,16 +625,24 @@ def _deadline(options: SearchOptions, start: float) -> float | None:
     return None if options.time_budget is None else start + options.time_budget
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; every CPU where the platform has no
+    affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextmanager
 def workers(jobs: int) -> Iterator[Callable]:
     """A lazy map in item order for one call: builtin ``map`` for one
-    job, else ``imap`` over one process pool.  Leaving the block
-    terminates the pool, so no item runs on: neither those not yet
-    started nor the running ones."""
+    job, else ``imap`` over one process pool of at most one process per
+    usable CPU.  Leaving the block terminates the pool, so no item runs
+    on: neither those not yet started nor the running ones."""
     if jobs == 1:
         yield map
         return
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(min(jobs, _usable_cpus())) as pool:
         yield pool.imap
 
 

@@ -311,6 +311,45 @@ def test_bitmask_kernel_matches_tree_count(cat, counts):
         )
 
 
+def _seeded_vectors(seed, n=60):
+    """Sparse count vectors with small counts, so tree components stay
+    in play, and now and then a count past one byte."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        vec = [0] * len(CELLS)
+        for k in rng.sample(range(len(CELLS)), rng.randint(0, 14)):
+            vec[k] = rng.choice((1, 1, 1, 2, 3, 7, 300))
+        yield vec
+
+
+def test_counting_kernel_stops_at_its_cap(cat):
+    for vec in _seeded_vectors(1):
+        for t in range(len(CELLS)):
+            trees = co.treecount_from_vector(vec, t, cat)
+            for stop in range(1, 10):
+                assert co.tree_components(vec, t, cat, stop) == min(trees, stop)
+
+
+def test_tree_count_never_rises_with_a_count(cat):
+    # the premise of the solver's bound on a forbidden target
+    for vec in _seeded_vectors(2, n=30):
+        for t in range(len(CELLS)):
+            trees = co.treecount_from_vector(vec, t, cat)
+            for k in range(len(CELLS)):
+                vec[k] += 1
+                assert co.treecount_from_vector(vec, t, cat) <= trees
+                vec[k] -= 1
+
+
+def test_tree_count_floor_from_compatible_counts(cat):
+    # the premise of the solver's screen: a tree of n nodes has n - 1
+    # edges, any other component of m nodes at least m
+    for vec in _seeded_vectors(3):
+        for t in range(len(CELLS)):
+            supply = sum(vec[k] for k in cat.compatible_cells[t])
+            assert co.treecount_from_vector(vec, t, cat) >= 8 - supply
+
+
 def test_kernel_tables_built_once_per_catalog(monkeypatch):
     built = []
     make = co._tree_tables

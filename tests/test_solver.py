@@ -1,7 +1,9 @@
 """Backtracking engine: verdicts, budgets, symmetry handling, enumeration."""
 
 import functools
+import itertools
 import multiprocessing
+import os
 import time
 from collections import Counter
 from dataclasses import replace
@@ -10,13 +12,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eightblocks.composability import composable_from_vector, solution_set
+from eightblocks.composability import (
+    composable_from_vector,
+    solution_set,
+    tree_components,
+    treecount_from_vector,
+)
 from eightblocks.errors import InvalidInputError
 from eightblocks.experiments import run_max_infeasible
+from eightblocks.instances import Instance
 from eightblocks.model import (
     LinearConstraint,
     Model,
     VarietyVariable,
+    check_assignment,
     existence_model,
     max_infeasible_model,
     min_universal_model,
@@ -33,6 +42,7 @@ from eightblocks.solver import (
     solve,
     solve_subproblems,
     split_subproblems,
+    workers,
 )
 from eightblocks.symmetry import (
     canonical_vector,
@@ -244,6 +254,35 @@ def test_minimize_toy_opens_one_pool(cat, monkeypatch):
     assert res.status == "optimal" and res.objective == 12
 
 
+def test_pool_has_at_most_one_process_per_cpu(monkeypatch):
+    sizes = []
+
+    class Recorded:
+        """Stands in for a pool: records its size and starts nothing."""
+
+        imap = staticmethod(map)
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(multiprocessing, "Pool", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with workers(5000) as pmap:
+        assert list(pmap(abs, [-1, 2])) == [1, 2]
+    assert sizes == [2]
+    # more jobs than one CPU still get a pool, of one process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    res = solve(_floored(), SearchOptions(jobs=5000))
+    assert sizes == [2, 1]
+    assert res.status == "optimal" and res.objective == 5
+
+
 def test_unknown_objective_rejected(cat):
     # the total is minimised only
     for objective in ("maximize-entropy", "maximize-total"):
@@ -278,14 +317,22 @@ def test_split_subproblems_partition(cat):
 
 
 def _count_oracle_calls(monkeypatch):
-    """Counter of the solver's calls to the tree oracle."""
+    """Counter of the solver's calls to the tree oracle: the verdict its
+    required targets ask for and the count its forbidden ones do."""
     calls = Counter()
 
-    def counted(vec, t, cat):
-        calls["oracle"] += 1
-        return composable_from_vector(vec, t, cat)
+    def counted(kernel):
+        def wrapped(*args):
+            calls["oracle"] += 1
+            return kernel(*args)
 
-    monkeypatch.setattr("eightblocks.solver.composable_from_vector", counted)
+        return wrapped
+
+    for name, kernel in (
+        ("composable_from_vector", composable_from_vector),
+        ("tree_components", tree_components),
+    ):
+        monkeypatch.setattr(f"eightblocks.solver.{name}", counted(kernel))
     return calls
 
 
@@ -293,14 +340,14 @@ def test_capped_max_infeasible_40_pinned(cat, monkeypatch):
     calls = _count_oracle_calls(monkeypatch)
     res = run_max_infeasible(40, mode="capped", cat=cat)
     assert res.status == "unsat" and res.complete
-    assert res.nodes == 8518
+    assert res.nodes == 3005
     assert res.prunes == {
-        "prune_capbound": 646,
-        "prune_forbidden_oracle": 4000,
-        "prune_linear": 36,
-        "prune_symmetry": 892,
+        "prune_capbound": 186,
+        "prune_forbidden_oracle": 721,
+        "prune_linear": 503,
+        "prune_symmetry": 429,
     }
-    assert calls["oracle"] == 12739
+    assert calls["oracle"] == 9767
 
 
 def test_capped_one_min_universal_pinned(cat, monkeypatch):
@@ -350,7 +397,7 @@ def test_full_mode_required_screen_pinned(cat, monkeypatch):
     assert calls["oracle"] == 200186
 
 
-@pytest.mark.parametrize("depth, nodes", [(1, 8517), (2, 8514)])
+@pytest.mark.parametrize("depth, nodes", [(1, 3004), (2, 3001)])
 def test_split_walks_the_serial_tree(cat, depth, nodes):
     # the parts are the serial search's subtrees: only the split's own
     # nodes are missing, and every prune is the serial pin's
@@ -359,10 +406,10 @@ def test_split_walks_the_serial_tree(cat, depth, nodes):
     assert res.status == "unsat" and res.complete
     assert res.nodes == nodes
     assert res.prunes == {
-        "prune_capbound": 646,
-        "prune_forbidden_oracle": 4000,
-        "prune_linear": 36,
-        "prune_symmetry": 892,
+        "prune_capbound": 186,
+        "prune_forbidden_oracle": 721,
+        "prune_linear": 503,
+        "prune_symmetry": 429,
     }
 
 
@@ -376,6 +423,60 @@ def test_capped_one_min_universal_under_jobs(cat):
     # serial 4,793 nodes less its root
     assert res.nodes == 4792
     assert res.witness == serial.witness
+
+
+# ----------------------------------------------------------------------
+# forbidden-target bounds against brute force
+
+
+@pytest.mark.parametrize(
+    "free, size, mode",
+    [
+        (((1, 2), (4, 6), (5, 2), (5, 3), (3, 1), (1, 4), (2, 6)), 9, "capped"),
+        (((3, 6), (1, 3), (5, 3), (2, 1), (4, 6), (2, 3), (1, 5)), 8, "capped"),
+        (((1, 2), (6, 2), (3, 6), (5, 6), (2, 4)), 8, "full"),
+    ],
+)
+def test_enumeration_matches_brute_force(cat, free, size, mode):
+    # a few free cells whose tree counts bound the forbidden targets'
+    # own counts in the search (a bound one lower loses solutions of
+    # each); the box is walked with the model's literal checker alone,
+    # no oracle and no propagation
+    m = max_infeasible_model(size, mode=mode, cat=cat)
+    for c in CELLS:
+        if c not in free:
+            m = m.restrict(c, 0, 0)
+    ranges = [range(m.variable(c).lo, m.variable(c).hi + 1) for c in free]
+    box = set()
+    for values in itertools.product(*ranges):
+        if sum(values) != size:  # the total-supply row, before the checker
+            continue
+        vec = [0] * N_CELLS
+        for c, n in zip(free, values):
+            vec[CELL_INDEX[c]] = n
+        if check_assignment(m, Instance.from_vector(tuple(vec))).ok:
+            box.add(tuple(vec))
+    found, complete = enumerate_all(m, SearchOptions(symmetry=False))
+    assert complete and box
+    assert {inst.vector() for inst in found} == box
+
+
+def test_forbidden_bound_wakes_required_targets(cat):
+    # no row reads (2, 3), so once the forbidden loop lowers its hi,
+    # only the required target it serves is left to run
+    bounds = {(1, 2): (0, 8), (2, 3): (0, 7), (1, 4): (1, 1), (3, 1): (1, 1)}
+    m = Model(
+        "wake",
+        tuple(VarietyVariable(c, *bounds.get(c, (0, 0))) for c in CELLS),
+        (),
+        required=frozenset({(1, 2)}),
+        forbidden=frozenset({(2, 3)}),
+    )
+    s = _Search(_Compiled(m, SearchOptions(symmetry=False), cat), SearchOptions())
+    assert _event_driven(s) is None
+    # two edges at one triple make a tree beside five lone triples: six
+    # trees, where the cap lines allow seven less one
+    assert s.hi[CELL_INDEX[(2, 3)]] == 5
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +506,7 @@ def _merged_rows(model):
 
 def _full_sweep(s, rows):
     """Reference propagation: every row, cap line and required sum on
-    every pass.
+    every pass, and every forbidden target whose lo has moved.
 
     Returns the prune key of the contradiction, or None at a fixpoint.
     """
@@ -458,13 +559,17 @@ def _full_sweep(s, rows):
                 s.req_dirty[slot] = False
                 if not composable_from_vector(s.hi, t, c.cat):
                     return "prune_required_oracle"
+        # a forbidden target's own count stays below its tree count at
+        # lo, counted on the multigraph, with no screen
         for slot, t in enumerate(c.forb_targets):
             if s.forb_dirty[slot]:
                 s.forb_dirty[slot] = False
-                if s.forb_sum_lo[slot] >= 8 and composable_from_vector(
-                    s.lo, t, c.cat
-                ):
+                trees = treecount_from_vector(s.lo, t, c.cat)
+                if s.lo[t] >= trees:
                     return "prune_forbidden_oracle"
+                if s.hi[t] >= trees:
+                    assert s._set_hi(t, trees - 1)
+                    again = True
     return None
 
 
