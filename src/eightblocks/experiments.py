@@ -54,6 +54,7 @@ from .model import (
 from .solver import (
     SearchOptions,
     SearchResult,
+    pool_size,
     solve,
     solve_subproblems,
     split_subproblems,
@@ -438,7 +439,7 @@ def octet_census(
     start = time.monotonic()
     reps = list(orbit_vectors(8, cat))
 
-    step = max(1, len(reps) // (jobs * 4))
+    step = max(1, len(reps) // (pool_size(jobs) * 4))
     chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
     with workers(jobs) as chunk_map:
         hist, best = _census_tally(chunks, chunk_map, progress)

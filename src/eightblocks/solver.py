@@ -633,16 +633,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def pool_size(jobs: int) -> int:
+    """Processes `workers(jobs)` runs items on: one per job, at most one
+    per usable CPU."""
+    return min(jobs, _usable_cpus())
+
+
 @contextmanager
 def workers(jobs: int) -> Iterator[Callable]:
     """A lazy map in item order for one call: builtin ``map`` for one
-    job, else ``imap`` over one process pool of at most one process per
-    usable CPU.  Leaving the block terminates the pool, so no item runs
+    job, else ``imap`` over one process pool of `pool_size(jobs)`
+    processes.  Leaving the block terminates the pool, so no item runs
     on: neither those not yet started nor the running ones."""
     if jobs == 1:
         yield map
         return
-    with multiprocessing.Pool(min(jobs, _usable_cpus())) as pool:
+    with multiprocessing.Pool(pool_size(jobs)) as pool:
         yield pool.imap
 
 

@@ -15,9 +15,16 @@ element i.  `_lane_images` holds that integer for each single cell; the
 lanes of a set are the sum over its cells (the bits are disjoint, so
 nothing carries).  The canonical mask of a set is its least lane and
 its stabilizer is the lanes equal to its own mask; both come from
-big-integer arithmetic and byte searches that run in C.  The module
-stays on the standard library: importing numpy would add about 10 MB
-to the resident size of every process that enumerates orbits.
+big-integer arithmetic and byte searches that run in C.
+
+Orbits of cell sets are listed by augmentation, one cell at a time,
+filtered by a cheap invariant: a cell's score in a set counts the set's
+other cells in each orbital, that is each orbit of ordered pairs of
+distinct cells (`_orbital_weights`).  A set grown by a cell that another
+of its cells outscores is never canonicalized; most of the least-lane
+work of a census goes away that way.  The module stays on the standard
+library: importing numpy would add about 10 MB to the resident size of
+every process that enumerates orbits.
 """
 
 from __future__ import annotations
@@ -173,6 +180,36 @@ def _least_lane(images: int) -> int:
     return min(memoryview(images.to_bytes(4 * lanes, sys.byteorder)).cast("I"))
 
 
+@lru_cache(maxsize=4)
+def _orbital_weights(cat: Catalog | None = None) -> tuple[tuple[int, ...], ...]:
+    """Per cell pair (x, y), 32 ** i when (x, y) lies in the i-th orbital
+    (orbit of ordered pairs of distinct cells) and 0 when x == y.
+
+    The group is transitive on cells, so any g sending x to cell 0 sends
+    (x, y) to (0, g(y)), and the orbital is the orbit of g(y) under the
+    stabilizer of cell 0.  The weights are group invariant, and so is a
+    cell's score in a set: the sum of its column over the set, which
+    packs how many of the set's other cells lie in each orbital, five
+    bits apiece.
+    """
+    perms = cell_perms(cat)
+    fixing = [p for p in perms if p[0] == 0]
+    sender = {p.index(0): p for p in perms}
+    assert len(sender) == len(CELLS), "the group is expected to be transitive"
+    orbital: dict[int, int] = {}  # orbit number under `fixing`, {0} first
+    for c in range(len(CELLS)):
+        if c not in orbital:
+            number = len(set(orbital.values()))
+            orbital.update((p[c], number) for p in fixing)
+    return tuple(
+        tuple(
+            0 if x == y else 32 ** (orbital[sender[x][y]] - 1)
+            for y in range(len(CELLS))
+        )
+        for x in range(len(CELLS))
+    )
+
+
 def _stabilizer_indices(cells: Collection[int], cat: Catalog | None = None) -> list[int]:
     """Ascending group positions of the elements mapping `cells` onto itself."""
     data = _set_images(cells, cat).to_bytes(4 * _ORDER, sys.byteorder)
@@ -273,14 +310,19 @@ def canonical_supports(
 ) -> list[tuple[int, ...]]:
     """Lex-least representative of every orbit of cell subsets up to max_size.
 
-    Canonical augmentation, one size at a time: every representative of
-    size k gains each absent cell, the result is replaced by the least
-    mask among its images and duplicates collapse in a set.  Sorting
-    the masks lists the representatives in lexicographic order of their
-    0/1 cell vectors.
+    Augmentation, one size at a time: every representative S of size j
+    gains each absent cell k, the child is replaced by the least mask
+    among its images and duplicates collapse in a set.  A child is
+    skipped, before any image is taken, when some cell of S outscores k
+    in it (`_orbital_weights`).  No orbit is lost: take a member C and a
+    top-scoring cell x of it; some g maps C - x onto a listed
+    representative, and as scores are invariant g(x) tops g(C), so that
+    representative's child by g(x) is kept.  Sorting the masks lists the
+    representatives in lexicographic order of their 0/1 cell vectors.
     """
     cat = cat or catalog()
     images = _lane_images(cat)
+    weights = _orbital_weights(cat)
     layer = {0}
     found: list[int] = []
     for _ in range(min(max_size, len(CELLS))):
@@ -288,9 +330,16 @@ def canonical_supports(
         for mask in layer:
             cells = _cells(mask)
             base = _set_images(cells, cat)
+            # score[c]: c's score in S, or in S + c for c outside S; a
+            # cell x of S scores score[x] + weights[k][x] in S + k
+            rows = [weights[y] for y in cells]
+            score = [sum(col) for col in zip(*rows)] if rows else [0] * len(CELLS)
             for k in range(len(CELLS)):
-                if k not in cells:
-                    grown.add(_least_lane(base + images[k]))
+                if k in cells or any(
+                    score[x] + weights[k][x] > score[k] for x in cells
+                ):
+                    continue
+                grown.add(_least_lane(base + images[k]))
         found.extend(grown)
         layer = grown
     return [_cells(mask) for mask in sorted(found)]
@@ -327,15 +376,18 @@ def orbit_vectors(
     group_order = len(cell_perms(cat))
     supports = canonical_supports(min(size, len(CELLS)), cat)
     inv = inverse_cell_perms(cat)
+    compositions: dict[int, list[tuple[int, ...]]] = {}
     for S in supports:
         k = len(S)
         if k > size or k * cap < size:
             continue
+        if k not in compositions:
+            compositions[k] = list(_compositions(size, k, cap))
         stab_inv = [inv[i] for i in _stabilizer_indices(S, cat)]
         # elements fixing the support pointwise fix any vector on it
         pointwise = sum(1 for pi in stab_inv if all(pi[c] == c for c in S))
         nontrivial = [pi for pi in stab_inv if any(pi[c] != c for c in S)]
-        for parts in _compositions(size, k, cap):
+        for parts in compositions[k]:
             at = dict(zip(S, parts))
             fixed = pointwise
             smallest = True

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import multiprocessing
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eightblocks import experiments, solver
 from eightblocks.composability import solution_set
 from eightblocks.errors import ExperimentError, InvalidInputError
 from eightblocks.experiments import (
@@ -124,6 +126,48 @@ def test_census_tally_of_halves_matches_the_whole(cat):
         )
     assert merged == _census_chunk(reps)
     assert calls == [(half, len(reps)), (len(reps), len(reps))]
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, pools, chunks",
+    [(5000, 2, [2], [10] * 8), (3, 1, [1], [20] * 4), (1, 2, [], [20] * 4)],
+)
+def test_census_chunks_follow_the_pool_size(
+    cat, monkeypatch, jobs, cpus, pools, chunks
+):
+    # four chunks per process the pool really opens, not per job asked for
+    reps = [((0,) * len(CELLS), 1)] * 80
+    monkeypatch.setattr(experiments, "orbit_vectors", lambda size, cat: iter(reps))
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    seen = []
+
+    def tally(chunks, chunk_map, progress):
+        seen.append([len(c) for c in chunks])
+        raise _Stop
+
+    class Recorded:
+        """Stands in for a pool: records its size and starts nothing."""
+
+        imap = staticmethod(map)
+
+        def __init__(self, processes):
+            seen.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(experiments, "_census_tally", tally)
+    monkeypatch.setattr(multiprocessing, "Pool", Recorded)
+    with pytest.raises(_Stop):
+        experiments.octet_census(cat, jobs=jobs)
+    assert seen == pools + [chunks]
 
 
 def test_census_csv_layout():

@@ -177,6 +177,58 @@ def test_canonical_supports_match_the_dfs_reference(cat):
         )
 
 
+def _unfiltered_canonical_supports(max_size, cat):
+    """Reference enumeration: augmentation without the score filter, in
+    which every child of every representative is canonicalized."""
+    images = sym._lane_images(cat)
+    layer = {0}
+    found = []
+    for _ in range(max_size):
+        grown = set()
+        for mask in layer:
+            cells = sym._cells(mask)
+            base = sym._set_images(cells, cat)
+            for k in range(len(CELLS)):
+                if k not in cells:
+                    grown.add(sym._least_lane(base + images[k]))
+        found.extend(grown)
+        layer = grown
+    return [sym._cells(mask) for mask in sorted(found)]
+
+
+def test_filtered_augmentation_matches_the_unfiltered_reference(cat):
+    for max_size in range(1, 7):
+        assert sym.canonical_supports(max_size, cat) == (
+            _unfiltered_canonical_supports(max_size, cat)
+        )
+
+
+def test_orbital_weights_are_group_invariant(cat):
+    w = sym._orbital_weights(cat)
+    cells = range(len(CELLS))
+    for p in sym.cell_perms(cat):
+        assert all(w[p[x]][p[y]] == w[x][y] for x in cells for y in cells)
+    # zero on the diagonal; the pairs of distinct cells fall into the
+    # four orbitals of the 2-cell supports
+    assert {w[x][x] for x in cells} == {0}
+    assert {w[x][y] for x in cells for y in cells if x != y} == {1, 32, 32**2, 32**3}
+
+
+def test_octet_supports_canonicalize_few_children(cat, monkeypatch):
+    # the score filter leaves 10,758 of the 58,645 children of the
+    # representatives of sizes 0 to 7 to be canonicalized
+    calls = []
+    least_lane = sym._least_lane
+
+    def counted(images):
+        calls.append(images)
+        return least_lane(images)
+
+    monkeypatch.setattr(sym, "_least_lane", counted)
+    assert len(sym.canonical_supports(8, cat)) == 7123
+    assert len(calls) == 10758
+
+
 def _digest(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
