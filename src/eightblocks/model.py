@@ -9,10 +9,11 @@ Composability of a target is equivalent to the full family of covering
 conditions over the 256 subsets of its corner triples: every subset
 must be coverable by at least as many usable cubes as it has members.
 Forbidding a target asserts the negation, a 256-way disjunction, and
-brings ten capped supply bounds that any forbidden target respects.
-These literal families exist only in :func:`expanded_constraints`,
-which :func:`check_assignment` and the exports read; the solver decides
-the targets with the composability oracle instead.
+brings ten capped supply bounds that the forbid implies; they are kept
+only as literal checks.  These literal families exist only in
+:func:`expanded_constraints`, which :func:`check_assignment` and the
+exports read; the solver decides the targets with the composability
+oracle instead.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ class CapBoundConstraint:
 
     own + sum over the line's compatible cells of min(count, cap) must
     stay below the eight corners, else the target is composable outright.
+    The forbid implies it, so it is kept only as a literal check for
+    `check_assignment` and the exports; the solver reads none.
     """
 
     target: Cell

@@ -3,8 +3,8 @@
 Search walks the 30 table-cell variables with interval domains, running
 bound propagation and the composability oracles at every node.  The
 model's required and forbidden target sets are decided by the tree
-oracle, never by their 256-subset families; the linear constraints and
-each forbidden target's cap bounds are handled by plain arithmetic.  A
+oracle, never by their 256-subset families; the linear constraints are
+handled by plain arithmetic, one interval row per cell multiset.  A
 required target whose upper bounds over the cells that can serve it sum
 below eight is settled without the oracle.  A forbidden target gets a
 bound, not just a verdict.  It composes exactly when its own count
@@ -20,27 +20,32 @@ of its ``lo``, sum below eight), the count is skipped.  Variables are
 chosen required targets first, then by smallest domain; required cells
 try values high to low, others low to high.
 
+The tree-count bound implies each of a forbidden target's ten capped
+supply bounds: the four cells of one supply line are pairwise
+incompatible, so their shared pairs split the target's eight triples,
+and those four edges alone leave 8 - sum(min(x_k, 2)) tree components.
+Adding edges never raises that number, so no line needs a propagator
+of its own.
+
 Propagation is event-driven: a constraint is re-examined only when a
 bound it reads has moved since it last ran.  Linear constraints over
 one cell multiset are merged into one interval row, whose lower- and
 upper-bound sums are kept up to date in place; a change to either
-bound of a member cell marks the row dirty.  A cap line reads only
-lower bounds, so only a raised ``lo`` of its own or capped cells
-queues it.  A raised ``lo`` also marks the forbidden targets the cell
-serves, and a lowered ``hi`` the required ones.  Each pass runs the
-dirty rows in order, then the queued cap lines, then the dirty required
-and forbidden targets, until nothing is pending: a forbidden target's
-lowered ``hi`` can mark rows and required targets after their turn.
+bound of a member cell marks the row dirty.  A raised ``lo`` also
+marks the forbidden targets the cell serves, and a lowered ``hi`` the
+required ones.  Each pass runs the dirty rows in order, then the dirty
+required and forbidden targets, until nothing is pending: a forbidden
+target's lowered ``hi`` can mark rows and required targets after their
+turn.
 
 Backtracking copies instead of trailing.  A branching node saves its
 fixpoint once: both bounds, the oracles' incremental sums and the
 rows' interval sums.  It puts that state back between children, so a
-child never restores itself; its parent does.  The dirty rows, the cap
-queue and the two oracle dirty-flag lists are pending work, never
-saved: every propagation drains all four, or clears them on a
-contradiction, so a restored fixpoint has nothing pending, and each
-clean required target's sum is still the one that last passed.  Nothing
-is trailed.
+child never restores itself; its parent does.  The dirty rows and the
+two oracle dirty-flag lists are pending work, never saved: every
+propagation drains all three, or clears them on a contradiction, so a
+restored fixpoint has nothing pending, and each clean required target's
+sum is still the one that last passed.  Nothing is trailed.
 
 Symmetry handling is dominance-only: each admissible table symmetry
 compares the assignment with its image cell by cell, and a branch dies
@@ -96,7 +101,7 @@ from functools import lru_cache, partial
 from .composability import composable_from_vector, counting_floor, tree_components
 from .errors import InvalidInputError
 from .instances import Instance
-from .model import Model, cap_bounds, check_assignment
+from .model import Model, check_assignment
 from .symmetry import cell_perms, inverse_cell_perms
 from .varieties import CELLS, CELL_INDEX, Catalog, catalog
 
@@ -158,8 +163,8 @@ def admissible_symmetries(
     maps the required and forbidden target sets onto themselves, and
     maps each linear constraint onto one of the others.  Covering and
     forbidding families need no check: they are carried along with
-    their targets, and the capped supply bounds are consequences of
-    the forbidden families they accompany.
+    their targets.  Nor do the capped supply bounds, which follow from
+    the forbids they accompany and which the search never reads.
     """
     cat = cat or catalog()
     perms = cell_perms(cat)
@@ -224,21 +229,6 @@ class _Compiled:
         self.req_targets = [k for k, c in enumerate(CELLS) if c in model.required]
         self.forb_targets = [k for k, c in enumerate(CELLS) if c in model.forbidden]
         self.required_idx = frozenset(self.req_targets)
-        self.cap_lines = [
-            (
-                CELL_INDEX[b.own_cell],
-                tuple(CELL_INDEX[c] for c in b.capped_cells),
-                b.cap,
-                b.limit,
-            )
-            for t in self.forb_targets
-            for b in cap_bounds(CELLS[t], cat)
-        ]
-        # a cap line reads the lo of its own and capped cells only
-        self.cap_of_cell: list[list[int]] = [[] for _ in range(N_CELLS)]
-        for j, (own, cells4, _, _) in enumerate(self.cap_lines):
-            for k in (own,) + cells4:
-                self.cap_of_cell[k].append(j)
         self.req_of_cell: list[list[int]] = [[] for _ in range(N_CELLS)]
         for slot, t in enumerate(self.req_targets):
             for k in self.usable[t]:
@@ -309,12 +299,11 @@ class _Search:
         ]
         self.slo = [sum(self.lo[k] for k in idxs) for idxs, _, _ in comp.linear]
         self.shi = [sum(self.hi[k] for k in idxs) for idxs, _, _ in comp.linear]
-        # pending work; every _propagate call empties all four, so none
+        # pending work; every _propagate call empties all three, so none
         # is saved with a node's state
         self.req_dirty = [True] * len(comp.req_targets)
         self.forb_dirty = [True] * len(comp.forb_targets)
         self.row_dirty = [True] * len(comp.linear)
-        self.cap_queue = set(range(len(comp.cap_lines)))
         # a time.monotonic() value shared by every search of one call
         self.deadline = deadline
         self.node_budget = options.node_budget
@@ -350,7 +339,6 @@ class _Search:
         for r in c.rows_of_cell[k]:
             self.slo[r] += delta
             self.row_dirty[r] = True
-        self.cap_queue.update(c.cap_of_cell[k])
         return True
 
     def _set_hi(self, k: int, v: int) -> bool:
@@ -375,7 +363,6 @@ class _Search:
         self.stats[prune] += 1
         for dirty in (self.row_dirty, self.req_dirty, self.forb_dirty):
             dirty[:] = [False] * len(dirty)
-        self.cap_queue.clear()
         return False
 
     def _propagate(self) -> bool:
@@ -383,7 +370,6 @@ class _Search:
         lo, hi = self.lo, self.hi
         linear = self.linear
         dirty = self.row_dirty
-        queue = self.cap_queue
         while True:
             # a row marked while the sweep is past it waits for the next
             # pass, so rows see the same states as in a full sweep
@@ -408,24 +394,6 @@ class _Search:
                         room = hi_rhs - (slo - lo[i])
                         if room < hi[i] and not self._set_hi(i, room):
                             return self._fail("prune_linear")
-            # cap lines only lower hi, so none is queued while they run
-            for j in queue:
-                own, cells4, cap, limit = c.cap_lines[j]
-                base = lo[own]
-                for k in cells4:
-                    m = lo[k]
-                    base += m if m < cap else cap
-                if base > limit:
-                    return self._fail("prune_capbound")
-                room_own = limit - (base - lo[own])
-                if room_own < hi[own] and not self._set_hi(own, room_own):
-                    return self._fail("prune_capbound")
-                for k in cells4:
-                    m = lo[k]
-                    room = limit - (base - (m if m < cap else cap))
-                    if room < cap and room < hi[k] and not self._set_hi(k, room):
-                        return self._fail("prune_capbound")
-            queue.clear()
             # a clean target's sum has not moved since it last passed
             for slot, t in enumerate(c.req_targets):
                 if self.req_dirty[slot]:

@@ -350,6 +350,41 @@ def test_tree_count_floor_from_compatible_counts(cat):
             assert co.treecount_from_vector(vec, t, cat) >= 8 - supply
 
 
+def test_supply_lines_split_the_target_triples(cat):
+    # each supply line's four cells share disjoint pairs of triples with
+    # the target, so their edges alone meet all eight triple nodes once
+    for t in range(len(CELLS)):
+        assert len(cat.supply_lines[t]) == 10
+        for _, _, cells in cat.supply_lines[t]:
+            assert len(cells) == 4
+            covered = 0
+            for k in cells:
+                a, b = cat.shared_pairs[t][k]
+                pair = 1 << a | 1 << b
+                assert a != b and not covered & pair
+                covered |= pair
+            assert covered == 255
+
+
+@given(
+    _KERNEL_COUNTS,
+    st.integers(0, len(CELLS) - 1),
+    st.integers(0, 9),
+    st.lists(_COUNT, min_size=4, max_size=4),
+)
+def test_tree_count_at_most_a_supply_line_allows(cat, counts, t, line, on_line):
+    # the lemma that makes a forbidden target's tree-count bound imply
+    # its ten capped supply bounds: the line's edges alone leave
+    # 8 - sum(min(x_k, 2)) trees, and more edges never add one
+    vec = _vector(counts)
+    _, _, cells = cat.supply_lines[t][line]
+    for k, n in zip(cells, on_line):
+        vec[k] = n
+    assert co.tree_components(vec, t, cat, 9) <= 8 - sum(
+        min(vec[k], 2) for k in cells
+    )
+
+
 def test_kernel_tables_built_once_per_catalog(monkeypatch):
     built = []
     make = co._tree_tables

@@ -340,14 +340,13 @@ def test_capped_max_infeasible_40_pinned(cat, monkeypatch):
     calls = _count_oracle_calls(monkeypatch)
     res = run_max_infeasible(40, mode="capped", cat=cat)
     assert res.status == "unsat" and res.complete
-    assert res.nodes == 3005
+    assert res.nodes == 3171
     assert res.prunes == {
-        "prune_capbound": 186,
-        "prune_forbidden_oracle": 721,
-        "prune_linear": 503,
-        "prune_symmetry": 429,
+        "prune_forbidden_oracle": 999,
+        "prune_linear": 500,
+        "prune_symmetry": 441,
     }
-    assert calls["oracle"] == 9767
+    assert calls["oracle"] == 10665
 
 
 def test_capped_one_min_universal_pinned(cat, monkeypatch):
@@ -397,7 +396,7 @@ def test_full_mode_required_screen_pinned(cat, monkeypatch):
     assert calls["oracle"] == 200186
 
 
-@pytest.mark.parametrize("depth, nodes", [(1, 3004), (2, 3001)])
+@pytest.mark.parametrize("depth, nodes", [(1, 3170), (2, 3167)])
 def test_split_walks_the_serial_tree(cat, depth, nodes):
     # the parts are the serial search's subtrees: only the split's own
     # nodes are missing, and every prune is the serial pin's
@@ -406,10 +405,9 @@ def test_split_walks_the_serial_tree(cat, depth, nodes):
     assert res.status == "unsat" and res.complete
     assert res.nodes == nodes
     assert res.prunes == {
-        "prune_capbound": 186,
-        "prune_forbidden_oracle": 721,
-        "prune_linear": 503,
-        "prune_symmetry": 429,
+        "prune_forbidden_oracle": 999,
+        "prune_linear": 500,
+        "prune_symmetry": 441,
     }
 
 
@@ -435,6 +433,10 @@ def test_capped_one_min_universal_under_jobs(cat):
         (((1, 2), (4, 6), (5, 2), (5, 3), (3, 1), (1, 4), (2, 6)), 9, "capped"),
         (((3, 6), (1, 3), (5, 3), (2, 1), (4, 6), (2, 3), (1, 5)), 8, "capped"),
         (((1, 2), (6, 2), (3, 6), (5, 6), (2, 4)), 8, "full"),
+        # forbidden (5, 1) with three cells of its row-6 supply line, where
+        # that line's capped supply bound alone would fail nodes and lower
+        # the bounds of (5, 1) and of the line's cells
+        (((5, 1), (6, 2), (6, 4), (6, 3), (5, 6), (5, 4), (4, 2)), 9, "capped"),
     ],
 )
 def test_enumeration_matches_brute_force(cat, free, size, mode):
@@ -475,7 +477,7 @@ def test_forbidden_bound_wakes_required_targets(cat):
     s = _Search(_Compiled(m, SearchOptions(symmetry=False), cat), SearchOptions())
     assert _event_driven(s) is None
     # two edges at one triple make a tree beside five lone triples: six
-    # trees, where the cap lines allow seven less one
+    # trees, so at most five own cubes
     assert s.hi[CELL_INDEX[(2, 3)]] == 5
 
 
@@ -505,8 +507,8 @@ def _merged_rows(model):
 
 
 def _full_sweep(s, rows):
-    """Reference propagation: every row, cap line and required sum on
-    every pass, and every forbidden target whose lo has moved.
+    """Reference propagation: every row and required sum on every pass,
+    and every forbidden target whose lo has moved.
 
     Returns the prune key of the contradiction, or None at a fixpoint.
     """
@@ -535,23 +537,6 @@ def _full_sweep(s, rows):
                         if not s._set_hi(i, room):
                             return "prune_linear"
                         again = True
-        for own, cells4, cap, limit in c.cap_lines:
-            base = s.lo[own]
-            for k in cells4:
-                base += min(s.lo[k], cap)
-            if base > limit:
-                return "prune_capbound"
-            room_own = limit - (base - s.lo[own])
-            if room_own < s.hi[own]:
-                if not s._set_hi(own, room_own):
-                    return "prune_capbound"
-                again = True
-            for k in cells4:
-                room = limit - (base - min(s.lo[k], cap))
-                if room < cap and room < s.hi[k]:
-                    if not s._set_hi(k, room):
-                        return "prune_capbound"
-                    again = True
         for slot, t in enumerate(c.req_targets):
             if s.req_sum_hi[slot] < 8:
                 return "prune_counting"
@@ -579,7 +564,7 @@ def _event_driven(s):
     ok = s._propagate()
     # the pending work is not saved with a node's state, so no call may
     # leave any behind
-    assert not s.cap_queue and not any(s.row_dirty)
+    assert not any(s.row_dirty)
     assert not any(s.req_dirty) and not any(s.forb_dirty)
     pruned = [k for k, n in s.stats.items() if n != before.get(k, 0)]
     assert len(pruned) == (0 if ok else 1)
@@ -601,7 +586,7 @@ def _draw_cut(data, s):
     k = data.draw(st.sampled_from(open_cells))
     hi = data.draw(st.integers(s.lo[k], s.hi[k]))
     # half the cuts fix the cell; the others may leave lo alone, and a
-    # lowered hi alone queues no cap line
+    # lowered hi alone wakes no forbidden target
     lo = hi if data.draw(st.booleans()) else data.draw(st.integers(s.lo[k], hi))
     assert s._set_lo(k, lo) and s._set_hi(k, hi)
     return k, lo, hi
@@ -617,8 +602,8 @@ def _drawn_model(data, kind, cat):
         st.lists(st.sampled_from(CELLS), min_size=1, max_size=2, unique=True)
     )
     m = existence_model(required, mode="capped", cat=cat)
-    # the shared rows lie on one cap line of a forbidden target, so the
-    # lo values they raise are the ones that line reads
+    # the shared rows lie on one supply line of a forbidden target, so
+    # the lo values they raise are the ones that bound its own count
     own = CELL_INDEX[data.draw(st.sampled_from(sorted(m.forbidden)))]
     _, _, capped = data.draw(st.sampled_from(cat.supply_lines[own]))
     shared = [CELLS[k] for k in (own,) + tuple(capped)]
